@@ -90,11 +90,20 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 mod tests {
     use super::*;
 
+    use std::sync::Mutex;
+
     // The allocator is not installed as the test harness's global, so the
     // counters only move through direct calls here — but other tests in
     // this binary share the statics, so assertions stay one-sided.
+    //
+    // The tests below run in parallel threads by default and move the
+    // same statics, so each holds this lock: one test's 1 MiB block would
+    // otherwise land inside another's 4 KiB bound.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn tracks_live_bytes_and_peak() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let a = TrackingAllocator;
         let layout = Layout::from_size_align(1 << 20, 8).unwrap();
         reset_peak();
@@ -113,6 +122,7 @@ mod tests {
 
     #[test]
     fn realloc_accounts_the_delta() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let a = TrackingAllocator;
         let layout = Layout::from_size_align(4096, 8).unwrap();
         unsafe {

@@ -24,11 +24,10 @@
 //! * **cold / accounting** — cold-path demand derivation two ways: the
 //!   per-item inline oracle (trajectory only) and the batched segment
 //!   path (the dispatcher hands ≤1024-arrival segments to
-//!   `predict_batch`, which sorts by envelope template for cache reuse).
-//!   The batched run must agree with the per-item run decision-for-
-//!   decision and carries its own floor-gated placements/s, plus the
-//!   envelope-cache hit/miss telemetry. Live 2-hour violation sampling
-//!   stays a trajectory metric.
+//!   `predict_batch`, which derives them without touching the oracle's
+//!   per-VM memo). The batched run must agree with the per-item run
+//!   decision-for-decision and carries its own floor-gated placements/s.
+//!   Live 2-hour violation sampling stays a trajectory metric.
 //! * **lanes** — the worker-lane microbench: the lock-free ring lane and
 //!   the mutex reference lane, head to head, at 1/4/16-item batches —
 //!   msgs/s plus the wakeup counters (how many handoffs found the peer
@@ -36,14 +35,14 @@
 //!   the ring must never lose to the lane it replaced.
 //! * **sharded** — the same stream through the persistent-worker
 //!   `ShardedController` (`--shards N`, default ≈ available cores), lanes
-//!   from `--lanes` (default `ring`), worker placement from `--placement`
-//!   (default `none`), probe mode from `--probe-mode` (default
-//!   `differential`: every measurement asserts estimator == exhaustive).
+//!   from `--lanes` (default `ring`), probe mode from `--probe-mode`
+//!   (default `differential`: every measurement asserts estimator ==
+//!   exhaustive).
 //!   Exact integer agreement with single-shard is asserted and
 //!   per-shard-count throughput recorded — the CI scale-out matrix uploads
 //!   one JSON per shard count. Lane telemetry (sends, batched handoffs,
-//!   wakeups, full-ring stalls) and the detected CPU topology land in the
-//!   JSON.
+//!   wakeups, full-ring stalls) and the available thread count land in
+//!   the JSON.
 //! * **scaling** — the shard sweep at 1/2/4/8 shards on one trace: each
 //!   count must stay integer-exact against single-shard, and on machines
 //!   with enough cores the 4-shard run must clear a scaling-efficiency
@@ -69,7 +68,6 @@
 //!
 //! Usage: `bench_serve [--quick] [--large] [--shards N]
 //! [--backend thread|process] [--lanes ring|mutex]
-//! [--placement none|compact|spread]
 //! [--probe-mode exhaustive|estimated|differential]
 //! [--telemetry off|counters|full] [--metrics-out PATH] [--out PATH]
 //! [--scenario surge|evac|group-fail|sku-mix|all]`
@@ -132,10 +130,9 @@ struct Prederived {
 }
 
 impl Prederived {
-    /// Pre-derive every prediction through the batch path (template-sorted
-    /// envelope reuse) in parallel chunks, returning the table plus the
-    /// oracle's envelope `(hits, misses)` counters for the derivation.
-    fn derive(trace: &Trace, tw: TimeWindows, percentile: Percentile) -> (Self, (u64, u64)) {
+    /// Pre-derive every prediction through the batch path in parallel
+    /// chunks.
+    fn derive(trace: &Trace, tw: TimeWindows, percentile: Percentile) -> Self {
         let oracle = Oracle::new(tw);
         let chunks: Vec<&[VmRecord]> = trace.vms.chunks(4096).collect();
         let by_vm = par_map(&chunks, |chunk| {
@@ -145,7 +142,7 @@ impl Prederived {
         .into_iter()
         .flatten()
         .collect();
-        (Prederived { tw, by_vm }, oracle.envelope_counters())
+        Prederived { tw, by_vm }
     }
 }
 
@@ -771,13 +768,6 @@ fn main() {
     let backend_name = flag_value(&args, "--backend").unwrap_or_else(|| "thread".to_string());
     let backend = WorkerBackend::parse(&backend_name)
         .unwrap_or_else(|| panic!("--backend is thread|process, got {backend_name:?}"));
-    let placement_name = flag_value(&args, "--placement").unwrap_or_else(|| "none".to_string());
-    let placement = match placement_name.as_str() {
-        "none" => PlacementPolicy::None,
-        "compact" => PlacementPolicy::Compact,
-        "spread" => PlacementPolicy::Spread,
-        other => panic!("--placement is none|compact|spread, got {other:?}"),
-    };
     let telemetry_name = flag_value(&args, "--telemetry").unwrap_or_else(|| "off".to_string());
     let telemetry_mode = match telemetry_name.as_str() {
         "off" => TelemetryConfig::Off,
@@ -866,19 +856,13 @@ fn main() {
     );
     let trace = generate(&config);
 
-    // --- Phase 1: derive (warm table, via the batched envelope-sharing
-    // path; its cache telemetry is the honest measure of how much
-    // cross-VM template sharing the trace offers).
+    // --- Phase 1: derive (warm table, via the batched path).
     eprintln!("bench_serve: pre-deriving predictions (batched)...");
     let t0 = Instant::now();
-    let (warm, (derive_hits, derive_misses)) = Prederived::derive(&trace, tw, Percentile::P95);
+    let warm = Prederived::derive(&trace, tw, Percentile::P95);
     let derive_s = t0.elapsed().as_secs_f64();
     let derive_per_s = trace.vms.len() as f64 / derive_s.max(1e-9);
-    let derive_hit_rate = derive_hits as f64 / ((derive_hits + derive_misses).max(1)) as f64;
-    eprintln!(
-        "bench_serve:   {derive_s:.2}s ({derive_per_s:.0} VMs/s, envelope cache \
-         {derive_hits} hits / {derive_misses} misses)"
-    );
+    eprintln!("bench_serve:   {derive_s:.2}s ({derive_per_s:.0} VMs/s)");
 
     // Footprint: the demands the scheduler actually packs.
     let demands: Vec<VmDemand> = trace
@@ -987,15 +971,12 @@ fn main() {
     let cold_batched_result = cold_sharded.run(RequestSource::new(&trace.vms, Vec::new()));
     let cold_batched_wall = t0.elapsed().as_secs_f64();
     let cold_batched_per_s = cold_batched_result.accepted as f64 / cold_batched_wall.max(1e-9);
-    let (cold_hits, cold_misses) = cold_batch_oracle.envelope_counters();
-    let cold_hit_rate = cold_hits as f64 / ((cold_hits + cold_misses).max(1)) as f64;
     let cold_matches = cold_batched_result.accepted == cold.result.accepted
         && cold_batched_result.rejected == cold.result.rejected
         && cold_batched_result.peak_servers_in_use == cold.result.peak_servers_in_use;
     let cold_floor_met = cold_batched_per_s >= cold_floor;
     eprintln!(
-        "bench_serve:   {cold_batched_wall:.2}s, {cold_batched_per_s:.0} placements/s \
-         (envelope cache {cold_hits} hits / {cold_misses} misses), \
+        "bench_serve:   {cold_batched_wall:.2}s, {cold_batched_per_s:.0} placements/s, \
          matches per-item: {cold_matches}"
     );
 
@@ -1056,14 +1037,13 @@ fn main() {
     );
 
     // --- Phase 9: the sharded worker runtime, one persistent session for
-    // the whole stream (+ finalize), on the configured lane kind and
-    // worker placement.
+    // the whole stream (+ finalize), on the configured lane kind.
     let shard_count = shards_flag
         .unwrap_or_else(|| trace.clusters.len().min(available_threads().max(2)))
         .max(1);
     eprintln!(
         "bench_serve: streaming through {shard_count} persistent {} shard workers \
-         ({} lanes, {placement_name} placement, {probe_mode_name} probes, \
+         ({} lanes, {probe_mode_name} probes, \
          {telemetry_name} telemetry)...",
         backend.label(),
         lanes.label()
@@ -1072,7 +1052,6 @@ fn main() {
     config_sharded.sample_every = horizon_span;
     config_sharded.probe_mode = sharded_probe_mode;
     config_sharded.lanes = lanes;
-    config_sharded.placement = placement;
     config_sharded.backend = backend;
     config_sharded.telemetry = telemetry_mode;
     let mut sharded = ShardedController::new(&trace.clusters, &warm, config_sharded, shard_count);
@@ -1082,7 +1061,6 @@ fn main() {
     let sharded_wall = t0.elapsed().as_secs_f64();
     let sharded_placed_per_s = sharded_result.accepted as f64 / sharded_wall.max(1e-9);
     let lane_totals = sharded.lane_totals();
-    let workers_pinned = sharded.workers_pinned();
     // Estimated-mode probes skip the fill's float add/remove dust, so the
     // comparable reference is capacity itself, which all modes must agree
     // on; everything else is integer-exact regardless of mode.
@@ -1093,8 +1071,8 @@ fn main() {
     eprintln!(
         "bench_serve:   {sharded_wall:.2}s, {sharded_placed_per_s:.0} placements/s, \
          matches single-shard: {sharded_identical} \
-         ({} lane sends in {} batched handoffs, {} wakeups, {} pinned)",
-        lane_totals.sends, lane_totals.batched_sends, lane_totals.wakeups, workers_pinned
+         ({} lane sends in {} batched handoffs, {} wakeups)",
+        lane_totals.sends, lane_totals.batched_sends, lane_totals.wakeups
     );
 
     // `--metrics-out PATH`: export the sharded run's registry (and span
@@ -1321,18 +1299,15 @@ fn main() {
         || !stream_matches
         || !stream_ceiling_met
         || !large_flat;
-    let topo = CpuTopology::detect();
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let json = format!(
-        "{{\n  \"schema\": \"coach/bench_serve/v7\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"coach/bench_serve/v8\",\n  \"mode\": \"{mode}\",\n  \
          \"unix_time\": {unix_time},\n  \
          \"trace\": {{\"vms\": {vms}, \"servers\": {servers}, \"clusters\": {clusters}}},\n  \
-         \"derive\": {{\"wall_s\": {derive_s:.3}, \"vms_per_s\": {derive_per_s:.0}, \
-         \"envelope_hits\": {derive_hits}, \"envelope_misses\": {derive_misses}, \
-         \"envelope_hit_rate\": {derive_hit_rate:.4}}},\n  \
+         \"derive\": {{\"wall_s\": {derive_s:.3}, \"vms_per_s\": {derive_per_s:.0}}},\n  \
          \"identity\": {{\"online_equals_batch\": {identical}, \
          \"sharded_equals_single\": {sharded_identical}}},\n  \
          \"serve\": {serve},\n  \
@@ -1349,15 +1324,12 @@ fn main() {
          \"wall_s_per_probe\": {probe_wall_s:.3}}},\n  \
          \"serve_cold_derive\": {{\"per_item\": {cold}, \
          \"batched\": {{\"wall_s\": {cb_wall:.6}, \"accepted\": {cb_accepted}, \
-         \"placed_per_s\": {cold_batched_per_s:.1}, \"matches_per_item\": {cold_matches}, \
-         \"envelope_hits\": {cold_hits}, \"envelope_misses\": {cold_misses}, \
-         \"envelope_hit_rate\": {cold_hit_rate:.4}}}, \
+         \"placed_per_s\": {cold_batched_per_s:.1}, \"matches_per_item\": {cold_matches}}}, \
          \"placed_per_s_floor\": {cold_floor:.0}, \
          \"placed_per_s_floor_quick\": {SERVE_COLD_FLOOR_QUICK:.0}, \
          \"met\": {cold_floor_met}}},\n  \
          \"serve_accounting\": {accounting},\n  \
-         \"topology\": {{\"cpus\": {topo_cpus}, \"cores\": {topo_cores}, \
-         \"cache_domains\": {topo_domains}, \"threads_available\": {threads_avail}}},\n  \
+         \"host\": {{\"threads_available\": {threads_avail}}},\n  \
          \"lanes\": {{\"messages\": {lane_msgs}, \
          \"ring\": {{\"batch1\": {ring1}, \"batch4\": {ring4}, \"batch16\": {ring16}}}, \
          \"mutex\": {{\"batch1\": {mutex1}, \"batch4\": {mutex4}, \"batch16\": {mutex16}}}, \
@@ -1367,8 +1339,7 @@ fn main() {
          \"gate_active\": {lane_gate_active}, \"met\": {lane_met}}},\n  \
          \"sharded\": {{\"shards\": {shard_count}, \"backend\": \"{backend_label}\", \
          \"probe_mode\": \"{probe_mode_name}\", \
-         \"lanes\": \"{lane_label}\", \"placement\": \"{placement_name}\", \
-         \"workers_pinned\": {workers_pinned}, \
+         \"lanes\": \"{lane_label}\", \
          \"wall_s\": {sharded_wall:.3}, \"placed_per_s\": {sharded_placed_per_s:.1}, \
          \"matches_single_shard\": {sharded_identical}, \
          \"lane_telemetry\": {{\"sends\": {lt_sends}, \"batched_sends\": {lt_batched}, \
@@ -1421,9 +1392,6 @@ fn main() {
         cb_wall = cold_batched_wall,
         cb_accepted = cold_batched_result.accepted,
         accounting = serve_stats_json(&accounting),
-        topo_cpus = topo.cpu_count(),
-        topo_cores = topo.core_count(),
-        topo_domains = topo.cache_domain_count(),
         threads_avail = available_threads(),
         ring1 = lane_bench_json(&ring_runs[0]),
         ring4 = lane_bench_json(&ring_runs[1]),

@@ -237,21 +237,6 @@ impl UtilizationModel {
         Self::oracle_from_stats(&vm.window_stats(tw), percentile)
     }
 
-    /// [`UtilizationModel::oracle`] through a shared
-    /// [`EnvelopeCache`](coach_trace::EnvelopeCache) — the batch derivation
-    /// entry point. Bit-identical to [`UtilizationModel::oracle`] (the cached
-    /// window-stats path is proptest-pinned to the fresh one in
-    /// `coach-trace`); the cache only lets consecutive same-template VMs
-    /// reuse the envelope geometry instead of rebuilding it.
-    pub fn oracle_cached(
-        vm: &VmRecord,
-        tw: TimeWindows,
-        percentile: Percentile,
-        cache: &mut coach_trace::EnvelopeCache,
-    ) -> DemandPrediction {
-        Self::oracle_from_stats(&vm.window_stats_cached(tw, cache), percentile)
-    }
-
     /// [`UtilizationModel::oracle`] through the pre-redesign eager pipeline,
     /// ported verbatim: materialize the full 5-minute series, build nested
     /// per-day `Option` grids per resource, collect a maxima vector per

@@ -55,10 +55,6 @@ pub struct ServeConfig {
     /// lock-free ring (default) or the mutex reference lane. Lane choice
     /// never changes decisions — only the cost of moving them.
     pub lanes: LaneKind,
-    /// Where shard worker threads land: unpinned, packed into one cache
-    /// domain, or spread across domains (best-effort pinning; see
-    /// [`coach_types::topology`]).
-    pub placement: PlacementPolicy,
     /// Where a sharded deployment's workers execute: in-process threads
     /// (default) or supervised child processes speaking `coach-wire`
     /// frames over pipes ([`coach_types::runtime::ProcessPool`]). A
@@ -96,10 +92,6 @@ impl ServeConfig {
             // need batch bit-identity should switch to `Estimated`.
             probe_mode: ProbeMode::Exhaustive,
             lanes: LaneKind::Ring,
-            // Benchmarks opt into pinning explicitly; the library default
-            // leaves placement to the OS so embedding tests and multiple
-            // controllers in one process never fight over CPU 0..k.
-            placement: PlacementPolicy::None,
             backend: WorkerBackend::Thread,
             telemetry: TelemetryConfig::Off,
         }
@@ -726,7 +718,8 @@ impl<'a> Controller<'a> {
     ///
     /// Structural problems in the bytes (truncation, bad tags, a window
     /// partition that disagrees with `predictor`, an out-of-range server
-    /// fraction) surface as `Err(WireError)`.
+    /// fraction, a zero violation-sampling cadence) surface as
+    /// `Err(WireError)`.
     ///
     /// # Panics
     ///
@@ -748,6 +741,11 @@ impl<'a> Controller<'a> {
         if !(dump.config.server_fraction > 0.0 && dump.config.server_fraction <= 1.0) {
             return Err(WireError::Invalid {
                 context: "snapshot server fraction",
+            });
+        }
+        if dump.config.sample_every.ticks() == 0 {
+            return Err(WireError::Invalid {
+                context: "snapshot sample cadence",
             });
         }
         if dump.clusters.is_empty() || dump.clusters.windows(2).any(|w| w[0].0 >= w[1].0) {

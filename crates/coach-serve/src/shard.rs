@@ -13,10 +13,8 @@
 //! replies. Workers chew on segment *k* while the dispatcher routes
 //! segment *k + 1*; a barrier hands each shard its staged segment *and*
 //! the token in one `send_batch` burst, so it costs at most one worker
-//! wakeup per lane instead of a join + respawn. Worker threads are
-//! optionally pinned by a [`PlacementPolicy`] over the detected CPU
-//! topology ([`ServeConfig::placement`]), and every lane exports telemetry
-//! (sends, batched handoffs, wakeups, full-ring stalls) through
+//! wakeup per lane instead of a join + respawn. Every lane exports
+//! telemetry (sends, batched handoffs, wakeups, full-ring stalls) through
 //! [`StatsReport`] and [`ShardedController::lane_totals`].
 //!
 //! Ordering and exactness are unchanged from the fork-join version:
@@ -203,14 +201,9 @@ pub struct ShardedController<'a> {
     peak: PeakMerge,
     /// Command-lane implementation for worker sessions.
     lanes: LaneKind,
-    /// Per-worker CPU assignment, computed once from the config's
-    /// placement policy over the detected topology.
-    pins: Vec<Option<usize>>,
     /// Lane telemetry accumulated from completed sessions (the open
     /// session's live counters are added on top at merge time).
     lane_base: LaneStats,
-    /// Workers that successfully pinned in the most recent session.
-    workers_pinned: usize,
     /// Deployment-wide metrics registry + dispatcher span ring, `None`
     /// when [`ServeConfig::telemetry`] is `Off`. Thread-backed shards
     /// share its registry; process-backed shards ship drained deltas
@@ -275,16 +268,11 @@ impl<'a> ShardedController<'a> {
             }
             t
         });
-        let pins = config
-            .placement
-            .assign(&CpuTopology::detect(), shards.len());
         ShardedController {
             timelines: vec![Vec::new(); shards.len()],
             peak: PeakMerge::new(shards.len()),
             lanes: config.lanes,
-            pins,
             lane_base: LaneStats::default(),
-            workers_pinned: 0,
             telemetry,
             predictor,
             backend: config.backend,
@@ -348,24 +336,16 @@ impl<'a> ShardedController<'a> {
             timelines,
             peak,
             lanes,
-            pins,
             lane_base,
-            workers_pinned,
             telemetry,
             ..
         } = self;
         let n = shards.len();
         let owned = std::mem::take(shards);
-        let config = WorkerConfig {
-            backend: WorkerBackend::Thread,
-            lanes: *lanes,
-            ring_capacity: 0,
-            pins: pins.clone(),
-        };
         let session_base = *lane_base;
         let spans = telemetry.as_deref_mut().and_then(|t| t.spans.as_mut());
-        let (owned, (out, session_lanes, session_pinned)) =
-            with_shard_workers_configured(&config, owned, worker_step, |workers| {
+        let (owned, (out, session_lanes)) =
+            with_shard_workers_configured(*lanes, owned, worker_step, |workers| {
                 let mut dispatcher = Dispatcher {
                     link: Link::Threads(workers),
                     route,
@@ -384,15 +364,10 @@ impl<'a> ShardedController<'a> {
                     spans,
                 };
                 let out = body(&mut dispatcher);
-                (
-                    out,
-                    dispatcher.link.lane_stats(),
-                    dispatcher.link.workers_pinned(),
-                )
+                (out, dispatcher.link.lane_stats())
             });
         *shards = owned;
         lane_base.merge(&session_lanes);
-        *workers_pinned = session_pinned;
         self.sync_session_telemetry();
         out
     }
@@ -645,13 +620,6 @@ impl<'a> ShardedController<'a> {
     /// pool has no lanes.
     pub fn lane_totals(&self) -> LaneStats {
         self.lane_base
-    }
-
-    /// Workers that successfully pinned to their assigned CPU in the most
-    /// recent session (zero under [`PlacementPolicy::None`] or when
-    /// pinning is unsupported).
-    pub fn workers_pinned(&self) -> usize {
-        self.workers_pinned
     }
 
     /// Checkpoint-recovery respawns the process backend has performed so
@@ -1038,13 +1006,6 @@ impl<'a> Link<'_, '_, 'a> {
         match self {
             Link::Threads(workers) => workers.lane_stats(),
             Link::Process(..) => LaneStats::default(),
-        }
-    }
-
-    fn workers_pinned(&self) -> usize {
-        match self {
-            Link::Threads(workers) => workers.workers_pinned(),
-            Link::Process(..) => 0,
         }
     }
 

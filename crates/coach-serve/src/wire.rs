@@ -90,7 +90,6 @@ impl Encode for ServeConfig {
         e.bool(self.occupancy_timeline);
         self.probe_mode.encode(e);
         self.lanes.encode(e);
-        self.placement.encode(e);
         self.backend.encode(e);
         // `telemetry` is deliberately NOT encoded: it is a pure-observability
         // runtime knob (decisions are bit-identical across modes), and
@@ -114,7 +113,6 @@ impl Decode for ServeConfig {
             occupancy_timeline: d.bool("ServeConfig occupancy_timeline")?,
             probe_mode: Decode::decode(d)?,
             lanes: Decode::decode(d)?,
-            placement: Decode::decode(d)?,
             backend: Decode::decode(d)?,
             telemetry: TelemetryConfig::default(),
         })
@@ -768,6 +766,36 @@ mod tests {
         assert_eq!(back.telemetry, TelemetryConfig::Off);
     }
 
+    /// A structurally valid frame whose config carries a zero
+    /// violation-sampling cadence is corrupt: restore must return a typed
+    /// error instead of tripping the accountant's cadence assertion.
+    #[test]
+    fn restore_rejects_zero_sample_cadence() {
+        use crate::{Controller, RequestSource};
+        use std::collections::HashMap;
+
+        let trace = generate(&TraceConfig::small(37));
+        let oracle = coach_sim::Oracle::new(TimeWindows::paper_default());
+        let coach = PolicyConfig::paper_set().remove(2);
+        let mut controller = Controller::replaying(&trace, &oracle, coach, 0.6);
+        let requests: Vec<_> = RequestSource::replaying(&trace).collect();
+        for request in &requests[..requests.len() / 2] {
+            controller.handle(*request);
+        }
+        let mut dump: ControllerDump =
+            open_frame(controller.snapshot().bytes()).expect("decode ControllerDump");
+        dump.config.sample_every = SimDuration::ZERO;
+        let corrupt = Snapshot::from_bytes(seal_frame(&dump));
+        let table: HashMap<VmId, &VmRecord> = trace.vms.iter().map(|r| (r.id, r)).collect();
+        let restored = Controller::restore(&oracle, &corrupt, |vm| table.get(&vm).copied());
+        assert!(matches!(
+            restored.err(),
+            Some(WireError::Invalid {
+                context: "snapshot sample cadence"
+            })
+        ));
+    }
+
     #[test]
     fn telemetry_frames_roundtrip() {
         for mode in [
@@ -926,7 +954,7 @@ mod tests {
         }
 
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/protocol_v1.bin");
+            .join("tests/fixtures/protocol_v2.bin");
         if std::env::var_os("COACH_WIRE_BLESS").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &stream).unwrap();
@@ -935,7 +963,7 @@ mod tests {
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture: {e}"));
         assert_eq!(
             stream, fixture,
-            "protocol frame encoding drifted from the committed v1 fixture — \
+            "protocol frame encoding drifted from the committed v2 fixture — \
              this is a wire format change and needs a VERSION bump"
         );
 

@@ -261,11 +261,10 @@ fn midstream_stats_merge_reconciles() {
     assert_eq!(result.probe_capacity, batch.probe_capacity);
 }
 
-/// Lane choice and worker placement are pure mechanics: ring lanes,
-/// the mutex reference lane, and compact/spread pinning all produce the
-/// identical merged result on the same stream.
+/// Lane choice is pure mechanics: ring lanes and the mutex reference lane
+/// produce the identical merged result on the same stream.
 #[test]
-fn lanes_and_placement_do_not_change_decisions() {
+fn lane_kind_does_not_change_decisions() {
     let trace = generate(&TraceConfig {
         cluster_count: 4,
         ..TraceConfig::small(808)
@@ -273,20 +272,10 @@ fn lanes_and_placement_do_not_change_decisions() {
     let oracle = Oracle::new(TimeWindows::paper_default());
     let coach = PolicyConfig::paper_set().remove(2);
     let base = ServeConfig::replaying(coach, 0.7, trace.horizon);
-    let variants = [
-        (LaneKind::Ring, PlacementPolicy::None),
-        (LaneKind::MutexRef, PlacementPolicy::None),
-        (LaneKind::Ring, PlacementPolicy::Compact),
-        (LaneKind::MutexRef, PlacementPolicy::Spread),
-    ];
     for shards in [2, 4] {
         let mut results = Vec::new();
-        for (lanes, placement) in variants {
-            let config = ServeConfig {
-                lanes,
-                placement,
-                ..base
-            };
+        for lanes in [LaneKind::Ring, LaneKind::MutexRef] {
+            let config = ServeConfig { lanes, ..base };
             let mut controller = ShardedController::new(&trace.clusters, &oracle, config, shards);
             let result = controller.run(RequestSource::replaying(&trace));
             let totals = controller.lane_totals();
@@ -367,7 +356,6 @@ fn lane_telemetry_survives_sharded_merge() {
     let mut single = ShardedController::replaying(&trace, &oracle, coach, 0.7, 1);
     single.run(RequestSource::replaying(&trace));
     assert_eq!(single.lane_totals(), LaneStats::default());
-    assert_eq!(single.workers_pinned(), 0);
 }
 
 /// Streaming responses agree with the final counters: every arrival gets an

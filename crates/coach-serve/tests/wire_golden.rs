@@ -54,11 +54,11 @@ fn golden_snapshot() -> (coach_trace::Trace, Snapshot) {
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
     let (_trace, snapshot) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v1.bin", snapshot.bytes());
+    let fixture = load_or_bless("snapshot_v2.bin", snapshot.bytes());
     assert_eq!(
         snapshot.bytes(),
         &fixture[..],
-        "snapshot encoding drifted from the committed v1 fixture — \
+        "snapshot encoding drifted from the committed v2 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
 }
@@ -66,7 +66,7 @@ fn golden_snapshot_bytes_are_pinned() {
 #[test]
 fn golden_snapshot_restores_and_resumes() {
     let (trace, live) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v1.bin", live.bytes());
+    let fixture = load_or_bless("snapshot_v2.bin", live.bytes());
     let committed = Snapshot::from_bytes(fixture);
 
     // The committed bytes restore, re-snapshot to themselves, and finish

@@ -16,10 +16,9 @@
 //!   against [`Oracle`].
 
 use coach_predict::{DemandPrediction, UtilizationModel};
-use coach_trace::{EnvelopeCache, EnvelopeKey, VmRecord};
+use coach_trace::VmRecord;
 use coach_types::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Where per-VM demand predictions come from.
@@ -42,10 +41,10 @@ pub trait Predictor: Sync {
     /// Predict a whole batch of VMs at once, returning one slot per input
     /// VM **in input order**.
     ///
-    /// The default forwards each VM to [`Predictor::predict`]. Sources with
-    /// shareable derivation state override it — [`Oracle`] groups the batch
-    /// by envelope template so consecutive VMs reuse one envelope table —
-    /// but every override must return exactly what the per-item loop would:
+    /// The default forwards each VM to [`Predictor::predict`]. Sources may
+    /// override it — [`Oracle`] derives the batch without touching its
+    /// per-VM memo — but every override must return exactly what the
+    /// per-item loop would:
     /// `predict_batch` is a throughput entry point, never a semantic one
     /// (the `predict_batch_matches_per_item_loop` differential test holds
     /// all shipped sources to this).
@@ -87,11 +86,6 @@ fn too_short(vm: &VmRecord) -> bool {
 pub struct Oracle {
     tw: TimeWindows,
     cache: Mutex<HashMap<(VmId, u64, u64), DemandPrediction>>,
-    /// Envelope-table reuses across all [`Predictor::predict_batch`] calls.
-    env_hits: AtomicU64,
-    /// Envelope-table derivations across all [`Predictor::predict_batch`]
-    /// calls (one per cache miss).
-    env_misses: AtomicU64,
 }
 
 impl Oracle {
@@ -110,21 +104,15 @@ impl Oracle {
         Oracle {
             tw,
             cache: Mutex::new(HashMap::new()),
-            env_hits: AtomicU64::new(0),
-            env_misses: AtomicU64::new(0),
         }
     }
 
-    /// Envelope-cache telemetry accumulated over every
-    /// [`Predictor::predict_batch`] call: `(hits, misses)`. A *miss* is an
-    /// envelope-table derivation, a *hit* a table reuse by a same-template
-    /// VM later in a batch; the per-item [`Predictor::predict`] path does
-    /// not touch these.
+    /// Always `(0, 0)`. The envelope-table cache these counters measured
+    /// never recorded a hit and is gone; the method is kept only so the
+    /// `perfbench` harness, which reports `derive.envelope_hit_share`,
+    /// compiles unchanged.
     pub fn envelope_counters(&self) -> (u64, u64) {
-        (
-            self.env_hits.load(Ordering::Relaxed),
-            self.env_misses.load(Ordering::Relaxed),
-        )
+        (0, 0)
     }
 
     /// Cache discriminator beyond the VM id: ids restart at 0 in every
@@ -184,46 +172,28 @@ impl Predictor for Oracle {
         Some(p)
     }
 
-    /// The cold-path batch derivation: sort the batch by envelope template
-    /// so equal-envelope VMs are adjacent, then derive them in that order
-    /// through one shared [`EnvelopeCache`] — envelope reuse becomes a pure
-    /// iteration pattern. Results come back in input order.
-    ///
-    /// The `(VM, percentile)` memo is deliberately bypassed in both
-    /// directions: a batch derives each VM exactly once, so fingerprinting
-    /// and locking per VM buys nothing, and a million-VM replay must not
-    /// leave a million-entry footprint behind. The memo stays the fallback
-    /// for the per-item path, and skipping it cannot change results —
-    /// [`UtilizationModel::oracle_cached`] is bit-identical to the fresh
-    /// derivation the memo stores.
+    /// The cold-path batch derivation: a plain map over the batch that
+    /// bypasses the `(VM, percentile)` memo in both directions. A batch
+    /// derives each VM exactly once, so fingerprinting and locking per VM
+    /// buys nothing, and a large replay must not leave a memo of up to
+    /// 2^18 entries (about 0.5 kB each) behind. Skipping the memo cannot
+    /// change results: it only stores what [`UtilizationModel::oracle`]
+    /// derives.
     fn predict_batch(
         &self,
         vms: &[&VmRecord],
         percentile: Percentile,
     ) -> Vec<Option<DemandPrediction>> {
-        let mut order: Vec<u32> = (0..vms.len() as u32).collect();
-        order.sort_by_cached_key(|&i| {
-            vms[i as usize]
-                .profile
-                .per_resource
-                .each_ref()
-                .map(EnvelopeKey::of)
-        });
-        let mut env = EnvelopeCache::new();
-        let mut out = vec![None; vms.len()];
-        for &i in &order {
-            let vm = vms[i as usize];
-            if too_short(vm) {
-                continue;
-            }
-            let mut p = UtilizationModel::oracle_cached(vm, self.tw, percentile, &mut env);
-            bucket_prediction(&mut p);
-            out[i as usize] = Some(p);
-        }
-        let (hits, misses) = env.counters();
-        self.env_hits.fetch_add(hits, Ordering::Relaxed);
-        self.env_misses.fetch_add(misses, Ordering::Relaxed);
-        out
+        vms.iter()
+            .map(|vm| {
+                if too_short(vm) {
+                    return None;
+                }
+                let mut p = UtilizationModel::oracle(vm, self.tw, percentile);
+                bucket_prediction(&mut p);
+                Some(p)
+            })
+            .collect()
     }
 }
 
@@ -406,9 +376,9 @@ mod tests {
 
     /// `predict_batch` is a throughput entry point, never a semantic one:
     /// for every shipped source it must equal the per-item loop exactly.
-    /// `Oracle` overrides it (shared envelope cache, memo bypassed), so
-    /// this differentially pins the override; `Model` and `NaiveReference`
-    /// exercise the default loop.
+    /// `Oracle` overrides it (memo bypassed), so this differentially pins
+    /// the override; `Model` and `NaiveReference` exercise the default
+    /// loop.
     #[test]
     fn predict_batch_matches_per_item_loop() {
         use coach_predict::{ForestParams, ModelConfig};
@@ -447,13 +417,25 @@ mod tests {
                 }
             }
         }
+    }
 
-        // The override's telemetry is consistent: every long VM asked the
-        // shared cache for its four per-resource envelope tables.
-        let long = trace.long_running().count() as u64;
-        let (hits, misses) = oracle.envelope_counters();
-        assert_eq!(hits + misses, 2 * 4 * long, "oracle envelope lookups");
-        assert!(misses > 0, "batch derived no envelope tables");
+    /// The memo bypass is the `Oracle::predict_batch` override's only reason
+    /// to exist: a batch derive must leave the `(VM, percentile)` memo
+    /// empty, while the per-item path still fills it.
+    #[test]
+    fn predict_batch_leaves_the_memo_empty() {
+        let trace = generate(&TraceConfig::small(99));
+        let vms: Vec<&VmRecord> = trace.vms.iter().collect();
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        let memo_len = || oracle.cache.lock().expect("oracle cache").len();
+
+        let batch = oracle.predict_batch(&vms, Percentile::P95);
+        assert!(batch.iter().any(Option::is_some), "batch derived nothing");
+        assert_eq!(memo_len(), 0, "predict_batch filled the memo");
+
+        let long = trace.long_running().next().expect("a long vm");
+        oracle.predict(long, Percentile::P95).expect("prediction");
+        assert_eq!(memo_len(), 1, "per-item predict no longer memoizes");
     }
 
     /// Pins the memo sizing arithmetic that justifies [`Oracle::MAX_CACHED`]:

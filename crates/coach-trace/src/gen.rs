@@ -415,7 +415,7 @@ impl FreeIndex {
         if self.n == 0 {
             return None;
         }
-        let leaf = self.search(1, demand)?;
+        let leaf = self.search(demand)?;
         let i = leaf - self.cap;
         debug_assert!(i < self.n, "padding leaves are ZERO and cannot fit");
         Some(i)
@@ -425,15 +425,31 @@ impl FreeIndex {
     /// bound can pass at a node whose children both fail (CPU headroom from
     /// one child, memory from the other), so the search backtracks; pruning
     /// keeps it near O(log servers) when a prefix of the cluster is full.
-    fn search(&self, node: usize, demand: &ResourceVec) -> Option<usize> {
-        if !demand.fits_within(&self.tree[node]) {
-            return None;
+    ///
+    /// Iterative over the implicit tree: a passing node descends to its
+    /// left child; a failing node moves to its right sibling, first
+    /// climbing out of every subtree it is the right child of. That visits
+    /// the nodes of a recursive left-first search in the same order. Being
+    /// a loop, it inlines into [`PlacementMachine::place`]; as a separate
+    /// recursive function its speed swung by ~25% with its code alignment.
+    fn search(&self, demand: &ResourceVec) -> Option<usize> {
+        let mut node = 1;
+        loop {
+            if demand.fits_within(&self.tree[node]) {
+                if node >= self.cap {
+                    return Some(node);
+                }
+                node *= 2;
+                continue;
+            }
+            while node % 2 == 1 {
+                node /= 2;
+                if node == 0 {
+                    return None;
+                }
+            }
+            node += 1;
         }
-        if node >= self.cap {
-            return Some(node);
-        }
-        self.search(2 * node, demand)
-            .or_else(|| self.search(2 * node + 1, demand))
     }
 }
 

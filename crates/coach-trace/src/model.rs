@@ -93,18 +93,6 @@ impl VmRecord {
             .window_stats_for(resource, tw, self.arrival, self.departure)
     }
 
-    /// [`VmRecord::window_stats`] through a shared
-    /// [`EnvelopeCache`](crate::profile::EnvelopeCache) — the batch
-    /// derivation entry point (see [`VmProfile::window_stats_cached`]).
-    pub fn window_stats_cached(
-        &self,
-        tw: TimeWindows,
-        cache: &mut crate::profile::EnvelopeCache,
-    ) -> ResourceWindowStats {
-        self.profile
-            .window_stats_cached(tw, self.arrival, self.departure, cache)
-    }
-
     /// Lifetime peak utilization of one resource (fraction), derived
     /// analytically — equal to `materialized().get(resource).max()`.
     pub fn peak_util(&self, resource: ResourceKind) -> f32 {

@@ -26,10 +26,9 @@
 //!
 //! [ASPLOS '25]: https://doi.org/10.1145/3669940.3707226
 
-// `deny`, not `forbid`: the lock-free ring lane in `runtime` and the raw
-// `sched_setaffinity` syscall in `topology` carry narrowly-scoped
-// `#[allow(unsafe_code)]` blocks with documented invariants; everything
-// else stays safe code.
+// `deny`, not `forbid`: the lock-free ring lane in `runtime` carries
+// narrowly-scoped `#[allow(unsafe_code)]` blocks with documented
+// invariants; everything else stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -43,7 +42,6 @@ pub mod runtime;
 pub mod series;
 pub mod stats;
 pub mod time;
-pub mod topology;
 pub mod winvec;
 pub mod wire;
 
@@ -56,13 +54,12 @@ pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
 pub use runtime::{
     lane_channel, ring_channel, serve_child_frames, spsc_channel, with_shard_workers,
     with_shard_workers_configured, LaneKind, LaneReceiver, LaneSender, LaneStats, ProcessPool,
-    RingReceiver, RingSender, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend, WorkerConfig,
+    RingReceiver, RingSender, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
     DEFAULT_RING_CAPACITY,
 };
 pub use series::{Percentile, ResourceSeries, UtilSeries};
 pub use stats::{ResourceWindowStats, UtilizationSource, WindowStats};
 pub use time::{SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR};
-pub use topology::{pin_current_thread, CpuSlot, CpuTopology, PlacementPolicy};
 pub use winvec::WindowVec;
 
 /// Convenient glob import for downstream crates.
@@ -77,13 +74,12 @@ pub mod prelude {
         lane_channel, ring_channel, serve_child_frames, spsc_channel, with_shard_workers,
         with_shard_workers_configured, LaneKind, LaneReceiver, LaneSender, LaneStats, ProcessPool,
         RingReceiver, RingSender, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
-        WorkerConfig, DEFAULT_RING_CAPACITY,
+        DEFAULT_RING_CAPACITY,
     };
     pub use crate::series::{Percentile, ResourceSeries, UtilSeries};
     pub use crate::stats::{ResourceWindowStats, UtilizationSource, WindowStats};
     pub use crate::time::{
         SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR,
     };
-    pub use crate::topology::{pin_current_thread, CpuSlot, CpuTopology, PlacementPolicy};
     pub use crate::winvec::WindowVec;
 }

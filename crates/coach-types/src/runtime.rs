@@ -37,10 +37,6 @@
 //! [`LaneKind::MutexRef`] — the slow reference implementation the ring is
 //! differentially tested against (same role as the scheduler's
 //! `NaiveReference` scan), selectable end-to-end for A/B benchmarks.
-//!
-//! Worker threads can additionally be pinned to CPUs chosen by a
-//! [`PlacementPolicy`](crate::topology::PlacementPolicy) over the detected
-//! [`CpuTopology`](crate::topology::CpuTopology) — see [`WorkerConfig`].
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -935,37 +931,16 @@ impl WorkerBackend {
     }
 }
 
-/// Tuning knobs for [`with_shard_workers_configured`].
-#[derive(Debug, Clone, Default)]
-pub struct WorkerConfig {
-    /// Worker execution backend. Carried here so one config describes the
-    /// whole pool; see [`WorkerBackend`] for which dispatchers honour
-    /// `Process`.
-    pub backend: WorkerBackend,
-    /// Command-lane implementation (replies always use the unbounded
-    /// mutex lane — see the module docs on why a bounded reply lane
-    /// could deadlock a deferred-drain dispatcher).
-    pub lanes: LaneKind,
-    /// Ring capacity for command lanes (0 ⇒ [`DEFAULT_RING_CAPACITY`]).
-    pub ring_capacity: usize,
-    /// Per-worker CPU assignment: worker `i` is pinned to `pins[i]` when
-    /// present (best effort — see
-    /// [`pin_current_thread`](crate::topology::pin_current_thread)).
-    /// Usually produced by
-    /// [`PlacementPolicy::assign`](crate::topology::PlacementPolicy::assign).
-    pub pins: Vec<Option<usize>>,
-}
-
 /// Handles to a running pool of shard workers (inside
 /// [`with_shard_workers`]): one FIFO command lane and one FIFO reply lane
 /// per worker.
 ///
 /// With two or more shards each command lane is a bounded lock-free ring
-/// (or the mutex reference lane, per [`WorkerConfig::lanes`]) to a worker
-/// thread, and each reply lane an unbounded mutex lane back; with zero or
-/// one shard the pool degenerates to an inline executor (commands run on
-/// the caller's thread at [`send`](Self::send) time), preserving
-/// identical FIFO semantics without lane hops.
+/// (or the mutex reference lane, per [`with_shard_workers_configured`])
+/// to a worker thread, and each reply lane an unbounded mutex lane back;
+/// with zero or one shard the pool degenerates to an inline executor
+/// (commands run on the caller's thread at [`send`](Self::send) time),
+/// preserving identical FIFO semantics without lane hops.
 pub struct ShardWorkers<'pool, Cmd, Res> {
     inner: Pool<'pool, Cmd, Res>,
 }
@@ -974,9 +949,6 @@ enum Pool<'pool, Cmd, Res> {
     Threads {
         senders: Vec<LaneSender<Cmd>>,
         receivers: Vec<LaneReceiver<Res>>,
-        /// Workers that successfully pinned themselves (best effort:
-        /// updated as each worker starts).
-        pinned: Arc<AtomicUsize>,
     },
     Inline {
         /// Runs the handler against the single shard's state.
@@ -1084,20 +1056,11 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
             Pool::Inline { .. } => LaneStats::default(),
         }
     }
-
-    /// How many workers successfully pinned themselves to their assigned
-    /// CPU so far (best effort; 0 for the inline pool).
-    pub fn workers_pinned(&self) -> usize {
-        match &self.inner {
-            Pool::Threads { pinned, .. } => pinned.load(Ordering::Relaxed),
-            Pool::Inline { .. } => 0,
-        }
-    }
 }
 
 /// Run `body` against a pool of persistent shard workers with default
-/// lanes (lock-free rings, [`DEFAULT_RING_CAPACITY`]) and no pinning.
-/// See [`with_shard_workers_configured`].
+/// lanes (lock-free rings of [`DEFAULT_RING_CAPACITY`]). See
+/// [`with_shard_workers_configured`].
 pub fn with_shard_workers<T, Cmd, Res, R>(
     states: Vec<T>,
     handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
@@ -1108,26 +1071,26 @@ where
     Cmd: Send,
     Res: Send,
 {
-    with_shard_workers_configured(&WorkerConfig::default(), states, handler, body)
+    with_shard_workers_configured(LaneKind::default(), states, handler, body)
 }
 
 /// Run `body` against a pool of persistent shard workers, one long-lived
-/// thread per entry of `states`, with lanes and placement from `config`.
+/// thread per entry of `states`, whose command lanes are of kind `lanes`
+/// (each holding up to [`DEFAULT_RING_CAPACITY`] commands when it is a
+/// ring).
 ///
 /// Each worker owns its state for the whole session: it drains command
 /// bursts from its lane (up to `WORKER_BURST` per wakeup), applies
 /// `handler(shard, &mut state, cmd)` to each, and sends the results back
 /// on its reply lane — so per-shard command order is execution order, and
 /// consecutive commands to the same shard never pay a thread spawn (or,
-/// with batched sends, more than one wakeup). Workers with a CPU
-/// assignment in `config.pins` pin themselves at startup, best effort.
-/// When `body` returns, the command lanes close, the workers drain and
+/// with batched sends, more than one wakeup). When `body` returns, the command lanes close, the workers drain and
 /// exit, and the (mutated) states are returned alongside `body`'s result.
 ///
 /// A panic in `body` or any worker propagates to the caller (workers are
 /// joined either way).
 pub fn with_shard_workers_configured<T, Cmd, Res, R>(
-    config: &WorkerConfig,
+    lanes: LaneKind,
     states: Vec<T>,
     handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
     body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
@@ -1151,43 +1114,30 @@ where
                 None => Pool::Threads {
                     senders: Vec::new(),
                     receivers: Vec::new(),
-                    pinned: Arc::new(AtomicUsize::new(0)),
                 },
             };
             body(&mut ShardWorkers { inner })
         };
         return (states, out);
     }
-    let ring_capacity = if config.ring_capacity == 0 {
-        DEFAULT_RING_CAPACITY
-    } else {
-        config.ring_capacity
-    };
     std::thread::scope(|scope| {
         let handler = &handler;
-        let pinned = Arc::new(AtomicUsize::new(0));
         let mut senders = Vec::with_capacity(states.len());
         let mut receivers = Vec::with_capacity(states.len());
         let joins: Vec<_> = states
             .into_iter()
             .enumerate()
             .map(|(shard, mut state)| {
-                let (cmd_tx, cmd_rx) = lane_channel::<Cmd>(config.lanes, ring_capacity);
+                let (cmd_tx, cmd_rx) = lane_channel::<Cmd>(lanes, DEFAULT_RING_CAPACITY);
                 // Replies ride the unbounded mutex lane: callers may
                 // defer draining replies until a barrier, and a bounded
                 // reply lane would let a slow drainer deadlock a worker
                 // against its own backpressure.
-                let (res_tx, res_rx) = lane_channel::<Res>(LaneKind::MutexRef, ring_capacity);
+                let (res_tx, res_rx) =
+                    lane_channel::<Res>(LaneKind::MutexRef, DEFAULT_RING_CAPACITY);
                 senders.push(cmd_tx);
                 receivers.push(res_rx);
-                let pin = config.pins.get(shard).copied().flatten();
-                let pinned = Arc::clone(&pinned);
                 scope.spawn(move || {
-                    if let Some(cpu) = pin {
-                        if crate::topology::pin_current_thread(cpu) {
-                            pinned.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
                     let mut burst = Vec::with_capacity(WORKER_BURST);
                     while cmd_rx.recv_batch(&mut burst, WORKER_BURST) > 0 {
                         for cmd in burst.drain(..) {
@@ -1199,11 +1149,7 @@ where
             })
             .collect();
         let mut workers = ShardWorkers {
-            inner: Pool::Threads {
-                senders,
-                receivers,
-                pinned,
-            },
+            inner: Pool::Threads { senders, receivers },
         };
         let out = body(&mut workers);
         // Close the command lanes so the workers drain and exit.
@@ -1784,12 +1730,8 @@ mod tests {
 
     #[test]
     fn workers_on_mutex_reference_lanes_match() {
-        let config = WorkerConfig {
-            lanes: LaneKind::MutexRef,
-            ..WorkerConfig::default()
-        };
         let (states, ()) = with_shard_workers_configured(
-            &config,
+            LaneKind::MutexRef,
             vec![Vec::new(); 3],
             |_, log: &mut Vec<u32>, cmd: u32| log.push(cmd),
             |workers| {
@@ -1835,33 +1777,6 @@ mod tests {
         // batches were issued.
         assert_eq!(stats.sends, 300);
         assert_eq!(stats.batched_sends, 2);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn workers_pin_when_asked() {
-        let config = WorkerConfig {
-            // CPU 0 always exists; pin both workers to it.
-            pins: vec![Some(0), Some(0)],
-            ..WorkerConfig::default()
-        };
-        let (_, pinned) = with_shard_workers_configured(
-            &config,
-            vec![(), ()],
-            |_, _, cmd: u8| cmd,
-            |workers| {
-                // One round trip per worker guarantees both workers ran
-                // their pin preamble before we read the counter.
-                for shard in 0..workers.len() {
-                    workers.send(shard, 1);
-                }
-                for shard in 0..workers.len() {
-                    workers.recv(shard);
-                }
-                workers.workers_pinned()
-            },
-        );
-        assert_eq!(pinned, 2);
     }
 
     #[test]
@@ -1968,7 +1883,7 @@ mod tests {
         for backend in [WorkerBackend::Thread, WorkerBackend::Process] {
             assert_eq!(WorkerBackend::parse(backend.label()), Some(backend));
         }
-        assert_eq!(WorkerConfig::default().backend, WorkerBackend::Thread);
+        assert_eq!(WorkerBackend::default(), WorkerBackend::Thread);
     }
 
     /// `cat` is a perfectly deterministic 1:1 frame echo: the length

@@ -16,7 +16,6 @@ use crate::resource::ResourceVec;
 use crate::runtime::{LaneKind, WorkerBackend};
 use crate::series::Percentile;
 use crate::time::{SimDuration, TimeWindows, Timestamp, TICKS_PER_DAY};
-use crate::topology::PlacementPolicy;
 use crate::winvec::WindowVec;
 
 /// Implement `Encode`/`Decode` for an id newtype over `u64`.
@@ -189,12 +188,6 @@ tag_wire!(WorkerBackend, "WorkerBackend", {
     1 => WorkerBackend::Process,
 });
 
-tag_wire!(PlacementPolicy, "PlacementPolicy", {
-    0 => PlacementPolicy::None,
-    1 => PlacementPolicy::Compact,
-    2 => PlacementPolicy::Spread,
-});
-
 impl Encode for VmConfig {
     fn encode(&self, e: &mut Encoder) {
         e.u32(self.cores);
@@ -285,7 +278,6 @@ mod tests {
         roundtrip(SubscriptionType::External);
         roundtrip(LaneKind::MutexRef);
         roundtrip(WorkerBackend::Process);
-        roundtrip(PlacementPolicy::Spread);
         roundtrip(VmConfig::general_purpose(4));
         roundtrip(HardwareConfig::general_purpose_gen4());
     }

@@ -45,10 +45,10 @@ fn load_or_bless(name: &str, expected: &[u8]) -> Vec<u8> {
 fn golden_frame_bytes_and_decode_are_pinned() {
     let value = golden_value();
     let frame = seal_frame(&value);
-    let fixture = load_or_bless("primitives_v1.bin", &frame);
+    let fixture = load_or_bless("primitives_v2.bin", &frame);
     assert_eq!(
         frame, fixture,
-        "encoder output drifted from the committed v1 fixture — \
+        "encoder output drifted from the committed v2 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
     let decoded: GoldenPayload = open_frame(&fixture).expect("golden fixture decodes");
@@ -61,7 +61,7 @@ fn bumped_version_fixture_is_rejected_structurally() {
     // must yield WireError::Version, never a silent misparse.
     let mut bumped = seal_frame(&golden_value());
     bumped[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
-    let fixture = load_or_bless("primitives_v2_bumped.bin", &bumped);
+    let fixture = load_or_bless("primitives_v3_bumped.bin", &bumped);
     assert_eq!(
         open_frame::<GoldenPayload>(&fixture),
         Err(WireError::Version {

@@ -97,11 +97,9 @@ pub use coach_workloads as workloads;
 /// * [`coach_sim::Predictor`] gained
 ///   [`predict_batch`](coach_sim::Predictor::predict_batch) (default: the
 ///   per-item loop, so existing implementations are unaffected). The
-///   `Oracle` override sorts a batch by envelope-template key and derives
-///   through one [`coach_trace::EnvelopeCache`], bypassing its per-item
-///   memo in both directions; its
-///   [`envelope_counters`](coach_sim::Oracle::envelope_counters) expose
-///   the cache's hit/miss telemetry.
+///   `Oracle` override derives the batch while bypassing its per-item
+///   memo in both directions (its envelope-template grouping is gone,
+///   see *Leaner derive and worker runtime* below).
 /// * [`Controller::handle_arrivals`](coach_serve::Controller::handle_arrivals)
 ///   admits an arrival slice through one `predict_batch` call; the sharded
 ///   dispatcher feeds it ≤1024-arrival segments. Decisions are unchanged —
@@ -129,18 +127,18 @@ pub use coach_workloads as workloads;
 /// behind the unified [`LaneSender`](coach_types::LaneSender)/
 /// [`LaneReceiver`](coach_types::LaneReceiver) surface. Code that called
 /// `spsc_channel` directly keeps compiling; to opt a worker pool into a
-/// specific lane kind, ring capacity, or CPU pinning, call
+/// specific lane kind, call
 /// [`with_shard_workers_configured`](coach_types::with_shard_workers_configured)
-/// with a [`WorkerConfig`](coach_types::WorkerConfig) (the plain
+/// with a [`LaneKind`](coach_types::LaneKind) (the plain
 /// [`with_shard_workers`](coach_types::with_shard_workers) now defaults to
 /// the ring). At the serving layer,
 /// [`ServeConfig`](coach_serve::ServeConfig) grew `lanes:`
-/// [`LaneKind`](coach_types::LaneKind) and `placement:`
-/// [`PlacementPolicy`](coach_types::PlacementPolicy) (assigned against the
-/// detected [`CpuTopology`](coach_types::CpuTopology)); both default to
-/// the old observable behavior decision-wise — lane kind and placement
-/// never change admissions, only throughput — and lane traffic shows up
-/// in [`StatsReport`](coach_serve::StatsReport)'s `lane_*` counters.
+/// [`LaneKind`](coach_types::LaneKind), which defaults to the old
+/// observable behavior decision-wise — lane kind never changes
+/// admissions, only throughput — and lane traffic shows up in
+/// [`StatsReport`](coach_serve::StatsReport)'s `lane_*` counters. (The
+/// CPU pinning of shard workers added alongside is gone, see *Leaner
+/// derive and worker runtime* below.)
 ///
 /// # Distributed control plane (PR 8 migration note)
 ///
@@ -235,6 +233,40 @@ pub use coach_workloads as workloads;
 ///   pinned: a barrier falling exactly on the final arrival's timestamp
 ///   is emitted (before that arrival), and no trailing barrier follows
 ///   the last arrival.
+///
+/// # Leaner derive and worker runtime (migration note)
+///
+/// Two optimisations that no committed benchmark showed paying off are
+/// gone. Decisions and predictions are unchanged.
+///
+/// * Envelope-table grouping. The envelope-table cache, its key type and
+///   every "cached" derive variant (on `VmProfile`, `VmRecord` and
+///   `UtilizationModel`) are removed, as is
+///   `VmProfile::window_stats_for_with`; the envelope table is now a
+///   private per-scan value. Call
+///   [`VmProfile::window_stats_for`](coach_trace::VmProfile::window_stats_for),
+///   [`VmRecord::window_stats`](coach_trace::VmRecord::window_stats) and
+///   [`UtilizationModel::oracle`](coach_predict::UtilizationModel::oracle)
+///   instead. The cache recorded zero hits on every committed run,
+///   because generated templates jitter every envelope parameter.
+///   [`Oracle::envelope_counters`](coach_sim::Oracle::envelope_counters)
+///   now always returns `(0, 0)`.
+/// * Worker CPU pinning. The `coach_types::topology` module (CPU
+///   topology probing, the placement policy and the affinity syscall),
+///   `ServeConfig::placement`, `ShardedController::workers_pinned` and
+///   `ShardWorkers::workers_pinned` are removed. Drop the `placement:`
+///   field from `ServeConfig` literals.
+/// * The worker-pool config struct is removed:
+///   [`with_shard_workers_configured`](coach_types::with_shard_workers_configured)
+///   now takes the [`LaneKind`](coach_types::LaneKind) directly, and ring
+///   lanes always hold
+///   [`DEFAULT_RING_CAPACITY`](coach_types::DEFAULT_RING_CAPACITY).
+/// * [`coach_wire::VERSION`] is 2, because `ServeConfig` travels inside
+///   every snapshot frame. Version-1 snapshots are rejected with
+///   [`WireError::Version`](coach_wire::WireError::Version).
+/// * [`Controller::restore`](coach_serve::Controller::restore) now
+///   rejects a frame whose config has a zero violation-sampling cadence
+///   with `WireError::Invalid` instead of panicking.
 pub mod prelude {
     pub use coach_core::{Coach, CoachConfig, CoachServer, CoachVm, VmRequest};
     pub use coach_serve::{
