@@ -57,7 +57,12 @@ fn bench_placement(c: &mut Criterion) {
 }
 
 /// Build a scheduler pre-filled to roughly `occupancy` of its guaranteed
-/// memory, so the index has a realistic bucket distribution.
+/// memory. The identical demands fill servers until network binds, so every
+/// full server keeps the same memory headroom and a placement walks past
+/// all of them. The fill always runs indexed (the naive scan would take
+/// minutes at 16k servers) and the filled state is then restored under
+/// `scan`; both scans decide identically, so the state is the same either
+/// way.
 fn filled_scheduler(
     servers: usize,
     windows: usize,
@@ -66,8 +71,7 @@ fn filled_scheduler(
 ) -> ClusterScheduler {
     let ids: Vec<ServerId> = (0..servers as u64).map(ServerId::new).collect();
     let capacity = HardwareConfig::general_purpose_gen4().capacity;
-    let mut sched =
-        ClusterScheduler::with_strategy(&ids, capacity, windows, PlacementHeuristic::BestFit, scan);
+    let mut sched = ClusterScheduler::new(&ids, capacity, windows, PlacementHeuristic::BestFit);
     // Each demand guarantees 8 GB against the 384 GB gen4 server; high
     // occupancy targets may saturate per-window feasibility first, in which
     // case the surplus placements are simply rejected.
@@ -75,19 +79,22 @@ fn filled_scheduler(
     for i in 0..per_server * servers as u64 {
         let _ = sched.place(demand(i, windows));
     }
-    sched
+    let mut dump = sched.dump();
+    dump.scan = scan;
+    ClusterScheduler::from_dump(dump).expect("a live scheduler's dump restores")
 }
 
 /// The scaling matrix for the headroom index: one placement against
-/// clusters of varying size, window count, and occupancy, for both the
-/// indexed and the naive reference scan.
+/// clusters of 64 to 16,384 servers, window count, and occupancy, for both
+/// the indexed and the naive reference scan. The 16,384-server rows sit
+/// above the `large-cluster` benchmark workload's 10,796 servers.
 fn bench_index_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_scaling");
     for &(scan, tag) in &[
         (ScanStrategy::Indexed, "indexed"),
         (ScanStrategy::NaiveReference, "naive"),
     ] {
-        for servers in [64usize, 512, 2048] {
+        for servers in [64usize, 512, 2048, 16_384] {
             for windows in [1usize, 6] {
                 for occupancy in [0.3f64, 0.9] {
                     let id = format!("{tag}/{servers}s_{windows}w_{occupancy}o");
@@ -97,7 +104,7 @@ fn bench_index_scaling(c: &mut Criterion) {
                         |b, &(servers, windows, occupancy)| {
                             // One persistent scheduler; each iteration places
                             // a fresh demand and removes it again, so state
-                            // (and the bucket distribution) stays put.
+                            // (and the headroom order) stays put.
                             let mut sched = filled_scheduler(servers, windows, occupancy, scan);
                             let mut i = 1u64 << 32;
                             b.iter(|| {

@@ -8,9 +8,11 @@
 //!   feasibility check and the Formula 3/4 memory-pool accounting
 //!   (multiplexed VA pool = max over windows of summed VA demand).
 //! * [`ClusterScheduler`] — best-fit placement across servers, backed by a
-//!   headroom-bucketed candidate index ([`ScanStrategy::Indexed`]) with the
-//!   exhaustive scan retained as a differential-testing reference
-//!   ([`ScanStrategy::NaiveReference`]).
+//!   candidate index that orders servers exactly by free guaranteed memory
+//!   ([`ScanStrategy::Indexed`]), with the exhaustive scan retained as a
+//!   differential-testing reference ([`ScanStrategy::NaiveReference`]).
+//!   Restoring a scheduler from a corrupt dump is a [`DumpError`], not a
+//!   panic.
 //!
 //! # Example
 //!
@@ -37,4 +39,4 @@ pub use demand::{Policy, VmDemand};
 pub use scheduler::{
     ClusterScheduler, ClusterSchedulerDump, PlacementHeuristic, PlacementOutcome, ScanStrategy,
 };
-pub use server::{ProbeSummary, ServerState, ServerStateDump};
+pub use server::{DumpError, ProbeSummary, ServerState, ServerStateDump};

@@ -7,16 +7,18 @@
 //! why the overhead is < 1 ms per VM (§4.5).
 //!
 //! To keep that envelope at million-VM scale the scheduler maintains a
-//! **headroom index**: servers are bucketed by their free guaranteed memory,
-//! so BestFit scans only the lowest-headroom buckets (and WorstFit the
-//! highest) instead of the whole cluster. The original exhaustive scan is
-//! retained as [`ScanStrategy::NaiveReference`] for differential testing —
-//! both strategies are decision-identical by construction and by proptest.
+//! **headroom index**: servers ordered exactly by (free guaranteed memory,
+//! server index), re-keyed in O(log n) on every place and remove. BestFit
+//! walks up from the demand's guaranteed memory and stops at the first
+//! feasible server; WorstFit walks down from the top. The original
+//! exhaustive scan is retained as [`ScanStrategy::NaiveReference`] for
+//! differential testing — both strategies are decision-identical by
+//! construction, by proptest and by a bounded-exhaustive check.
 
 use crate::demand::VmDemand;
-use crate::server::ServerState;
+use crate::server::{DumpError, ServerState};
 use coach_types::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Placement heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,8 +37,8 @@ pub enum PlacementHeuristic {
 /// How the scheduler searches for a feasible server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanStrategy {
-    /// Headroom-bucketed candidate index: BestFit/WorstFit stop at the
-    /// first bucket containing a feasible server (default).
+    /// Headroom-ordered candidate index: BestFit/WorstFit stop at the
+    /// first feasible server in (headroom, index) order (default).
     #[default]
     Indexed,
     /// The seed's exhaustive linear scan over all servers, kept as the
@@ -53,67 +55,52 @@ pub enum PlacementOutcome {
     Rejected,
 }
 
-/// Number of headroom buckets in the candidate index. Headroom lives in
-/// `[0, capacity.memory()]`, split uniformly.
-const HEADROOM_BUCKETS: usize = 64;
+/// How far below the demand's guaranteed memory the BestFit walk starts.
+/// [`ResourceVec::fits_within`] accepts up to 1e-9 of overshoot, and
+/// `capacity - guaranteed_sum` rounds differently from the
+/// `guaranteed_sum + demand` sum `can_fit` evaluates; this pad covers both
+/// with room to spare, so no server the exact check accepts lies below the
+/// walk's first key.
+const KEY_PAD: f64 = 1e-6;
 
-/// Epsilon matching [`ResourceVec::fits_within`]'s feasibility slack; bucket
-/// pruning must be at least this permissive to stay decision-identical.
-const FIT_EPS: f64 = 1e-9;
+/// The order key of a headroom value. Headroom comes from `saturating_sub`,
+/// so it is never negative or NaN; adding `+0.0` folds `-0.0` into `+0.0`,
+/// after which the bit patterns of non-negative floats sort exactly as the
+/// numbers do and equal keys mean equal headroom.
+fn headroom_key(headroom: f64) -> u64 {
+    (headroom + 0.0).to_bits()
+}
 
-/// Servers bucketed by free guaranteed memory. Each bucket holds server
-/// indices sorted ascending so tie-breaking matches the naive scan (the
-/// first of several equal-headroom candidates wins).
+/// A server's key: its free guaranteed memory.
+fn server_key(server: &ServerState) -> u64 {
+    headroom_key(server.free_guaranteed().memory())
+}
+
+/// Servers ordered exactly by (free guaranteed memory, server index): the
+/// order the naive scan's strict-`<`, first-index-wins BestFit argmin
+/// ranks them in, so the first feasible server in this order is its pick.
 #[derive(Debug, Clone, PartialEq)]
 struct HeadroomIndex {
-    bucket_width: f64,
-    buckets: Vec<Vec<usize>>,
-    bucket_of: Vec<usize>,
+    order: BTreeSet<(u64, usize)>,
+    key_of: Vec<u64>,
 }
 
 impl HeadroomIndex {
-    fn new(full_headroom: f64, n_servers: usize) -> Self {
-        let bucket_width = full_headroom / HEADROOM_BUCKETS as f64;
-        let mut buckets = vec![Vec::new(); HEADROOM_BUCKETS];
-        let top = Self::bucket_index(bucket_width, full_headroom);
-        buckets[top] = (0..n_servers).collect();
-        HeadroomIndex {
-            bucket_width,
-            buckets,
-            bucket_of: vec![top; n_servers],
-        }
+    /// Build the index in one sorted pass.
+    fn build(servers: &[ServerState]) -> Self {
+        let key_of: Vec<u64> = servers.iter().map(server_key).collect();
+        let order = key_of.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+        HeadroomIndex { order, key_of }
     }
 
-    fn bucket_index(bucket_width: f64, headroom: f64) -> usize {
-        if bucket_width > 0.0 {
-            ((headroom / bucket_width) as usize).min(HEADROOM_BUCKETS - 1)
-        } else {
-            0
+    /// Re-key server `i` after its headroom changed.
+    fn update(&mut self, i: usize, server: &ServerState) {
+        let key = server_key(server);
+        let old = std::mem::replace(&mut self.key_of[i], key);
+        if old != key {
+            self.order.remove(&(old, i));
+            self.order.insert((key, i));
         }
-    }
-
-    fn bucket_for(&self, headroom: f64) -> usize {
-        Self::bucket_index(self.bucket_width, headroom)
-    }
-
-    /// Re-bucket one server after its headroom changed.
-    fn update(&mut self, server: usize, headroom: f64) {
-        let new = self.bucket_for(headroom);
-        let old = self.bucket_of[server];
-        if new == old {
-            return;
-        }
-        let old_bucket = &mut self.buckets[old];
-        let pos = old_bucket
-            .binary_search(&server)
-            .expect("server present in its bucket");
-        old_bucket.remove(pos);
-        let new_bucket = &mut self.buckets[new];
-        let pos = new_bucket
-            .binary_search(&server)
-            .expect_err("server absent from target bucket");
-        new_bucket.insert(pos, server);
-        self.bucket_of[server] = new;
     }
 }
 
@@ -178,7 +165,7 @@ impl ClusterScheduler {
             .map(|(i, &id)| (id, i))
             .collect();
         assert_eq!(by_id.len(), servers.len(), "duplicate server ids");
-        let index = HeadroomIndex::new(capacity.memory(), servers.len());
+        let index = HeadroomIndex::build(&servers);
         ClusterScheduler {
             servers,
             by_id,
@@ -227,10 +214,7 @@ impl ClusterScheduler {
                 if self.servers[idx].vm_count() == 1 {
                     self.in_use += 1;
                 }
-                if self.scan == ScanStrategy::Indexed {
-                    self.index
-                        .update(idx, self.servers[idx].free_guaranteed().memory());
-                }
+                self.index.update(idx, &self.servers[idx]);
                 self.vm_to_server.insert(vm, id);
                 self.placed += 1;
                 PlacementOutcome::Placed(id)
@@ -286,14 +270,15 @@ impl ClusterScheduler {
 
     /// Indexed scan. Decision-identical to [`Self::pick_server_naive`]:
     ///
-    /// * Buckets partition servers by free guaranteed memory, so once a
-    ///   bucket yields a feasible candidate, every server in a
-    ///   farther-from-optimal bucket has strictly worse headroom and cannot
-    ///   win under the strict `<`/`>` comparisons the naive scan uses.
-    /// * Equal-headroom ties only occur within one bucket; buckets iterate
-    ///   ascending by server index, matching the naive first-wins order.
-    /// * BestFit skips buckets that cannot hold `demand.guaranteed`'s memory
-    ///   (minus the `fits_within` epsilon), pruning full servers wholesale.
+    /// * The index orders servers by (headroom, server index), exactly the
+    ///   ranking of the naive scan's strict `<` with first-index-wins ties,
+    ///   so BestFit's first feasible server in ascending order is its pick.
+    /// * BestFit starts the walk at the demand's guaranteed memory less
+    ///   [`KEY_PAD`]: a server with less headroom fails the guaranteed-memory
+    ///   check, so skipping it changes nothing.
+    /// * WorstFit walks descending to the first feasible key, then returns
+    ///   the lowest feasible index with that key, because the descending
+    ///   walk meets higher indices first.
     fn pick_server_indexed(&self, demand: &VmDemand, excluded: &[usize]) -> Option<usize> {
         let peak = demand.window_peak();
         let trough = demand.window_trough();
@@ -301,6 +286,7 @@ impl ClusterScheduler {
             excluded.binary_search(&i).is_err()
                 && self.servers[i].can_fit_with_bounds(demand, &peak, &trough)
         };
+        let order = &self.index.order;
         match self.heuristic {
             PlacementHeuristic::FirstFit => {
                 // Id order is the contract; the index cannot reorder it, but
@@ -308,50 +294,21 @@ impl ClusterScheduler {
                 (0..self.servers.len()).find(|&i| feasible(i))
             }
             PlacementHeuristic::BestFit => {
-                // Buckets below the demand's guaranteed memory cannot host
-                // it (minus the fits_within epsilon): skip them wholesale.
-                let need_mem = (demand.guaranteed.memory() - FIT_EPS).max(0.0);
-                let start = self.index.bucket_for(need_mem);
-                self.best_in_buckets(
-                    self.index.buckets[start..].iter(),
-                    feasible,
-                    |headroom, best| headroom < best,
-                )
+                let start = headroom_key((demand.guaranteed.memory() - KEY_PAD).max(0.0));
+                order
+                    .range((start, 0)..)
+                    .map(|&(_, i)| i)
+                    .find(|&i| feasible(i))
             }
-            PlacementHeuristic::WorstFit => self.best_in_buckets(
-                self.index.buckets.iter().rev(),
-                feasible,
-                |headroom, best| headroom > best,
-            ),
-        }
-    }
-
-    /// Scan buckets in the given order, returning the feasible server with
-    /// the winning headroom from the first bucket that has one. `beats`
-    /// must be strict (matching the naive scan's `<`/`>`) so the
-    /// first-by-index candidate wins ties within a bucket.
-    fn best_in_buckets<'a>(
-        &self,
-        buckets: impl Iterator<Item = &'a Vec<usize>>,
-        feasible: impl Fn(usize) -> bool,
-        beats: impl Fn(f64, f64) -> bool,
-    ) -> Option<usize> {
-        for bucket in buckets {
-            let mut best: Option<(usize, f64)> = None;
-            for &i in bucket {
-                if !feasible(i) {
-                    continue;
-                }
-                let headroom = self.servers[i].free_guaranteed().memory();
-                if best.is_none_or(|(_, h)| beats(headroom, h)) {
-                    best = Some((i, headroom));
-                }
-            }
-            if let Some((i, _)) = best {
-                return Some(i);
+            PlacementHeuristic::WorstFit => {
+                let &(key, last) = order.iter().rev().find(|&&(_, i)| feasible(i))?;
+                order
+                    .range((key, 0)..(key, last))
+                    .map(|&(_, i)| i)
+                    .find(|&i| feasible(i))
+                    .or(Some(last))
             }
         }
-        None
     }
 
     /// Deallocate a VM (no-op if unknown).
@@ -363,10 +320,7 @@ impl ClusterScheduler {
             if self.servers[idx].vm_count() == 0 {
                 self.in_use -= 1;
             }
-            if self.scan == ScanStrategy::Indexed {
-                self.index
-                    .update(idx, self.servers[idx].free_guaranteed().memory());
-            }
+            self.index.update(idx, &self.servers[idx]);
         }
         demand
     }
@@ -407,10 +361,8 @@ impl ClusterScheduler {
     ///
     /// Derived structures — the id maps, the headroom index, the in-use
     /// count — are *not* emitted: [`ClusterScheduler::from_dump`] rebuilds
-    /// them from the server states, and the rebuild is exact (bucket
-    /// membership is a pure function of each server's current headroom, and
-    /// within-bucket order is ascending server index in both the live and
-    /// rebuilt paths).
+    /// them from the server states, and the rebuild is exact (each server's
+    /// index key is a pure function of its current headroom).
     pub fn dump(&self) -> ClusterSchedulerDump {
         ClusterSchedulerDump {
             servers: self.servers.iter().map(ServerState::dump).collect(),
@@ -424,37 +376,39 @@ impl ClusterScheduler {
     /// Rebuild a scheduler from a [`ClusterSchedulerDump`], continuing
     /// bit-identically from the dumped decision state.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the dump has no servers, duplicate server ids, or a VM
-    /// hosted on two servers.
-    pub fn from_dump(dump: ClusterSchedulerDump) -> Self {
-        assert!(!dump.servers.is_empty(), "dump has no servers");
-        let servers: Vec<ServerState> = dump
-            .servers
-            .into_iter()
-            .map(ServerState::from_dump)
-            .collect();
+    /// [`DumpError::NoServers`] if the dump has no servers,
+    /// [`DumpError::DuplicateServer`] or [`DumpError::DuplicateVm`] if a
+    /// server id repeats or a VM is hosted twice, and
+    /// [`DumpError::WindowLength`] if a server's window vectors disagree
+    /// with its window count.
+    pub fn from_dump(dump: ClusterSchedulerDump) -> Result<Self, DumpError> {
+        if dump.servers.is_empty() {
+            return Err(DumpError::NoServers);
+        }
+        let mut servers = Vec::with_capacity(dump.servers.len());
+        for server in dump.servers {
+            servers.push(ServerState::from_dump(server)?);
+        }
         let mut by_id = HashMap::with_capacity(servers.len());
         let mut vm_to_server = HashMap::new();
         let mut in_use = 0;
         for (i, s) in servers.iter().enumerate() {
-            assert!(by_id.insert(s.id(), i).is_none(), "duplicate server ids");
+            if by_id.insert(s.id(), i).is_some() {
+                return Err(DumpError::DuplicateServer(s.id()));
+            }
             if s.vm_count() > 0 {
                 in_use += 1;
             }
             for vm in s.vm_ids() {
-                assert!(
-                    vm_to_server.insert(vm, s.id()).is_none(),
-                    "VM {vm} hosted on two servers"
-                );
+                if vm_to_server.insert(vm, s.id()).is_some() {
+                    return Err(DumpError::DuplicateVm(vm));
+                }
             }
         }
-        let mut index = HeadroomIndex::new(servers[0].capacity().memory(), servers.len());
-        for (i, s) in servers.iter().enumerate() {
-            index.update(i, s.free_guaranteed().memory());
-        }
-        ClusterScheduler {
+        let index = HeadroomIndex::build(&servers);
+        Ok(ClusterScheduler {
             servers,
             by_id,
             vm_to_server,
@@ -464,7 +418,7 @@ impl ClusterScheduler {
             in_use,
             rejected: dump.rejected,
             placed: dump.placed,
-        }
+        })
     }
 }
 
@@ -623,7 +577,7 @@ mod tests {
         }
         s.remove(VmId::new(2));
         s.place(full_demand(50, 17.0, 64.0)); // infeasible: bumps the rejected counter
-        let restored = ClusterScheduler::from_dump(s.dump());
+        let restored = ClusterScheduler::from_dump(s.dump()).expect("consistent dump");
         // Full structural equality: servers (all float sums), maps, the
         // rebuilt headroom index, and counters.
         assert_eq!(s, restored);
@@ -640,7 +594,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "hosted on two servers")]
     fn dump_with_conflicting_hosting_rejected() {
         let mut s = ClusterScheduler::new(&ids(2), cap(), 1, PlacementHeuristic::WorstFit);
         s.place(full_demand(1, 2.0, 8.0));
@@ -649,7 +602,45 @@ mod tests {
         // Claim VM 1 on both servers.
         let stolen = dump.servers[0].vms[0].clone();
         dump.servers[1].vms.push(stolen);
-        let _ = ClusterScheduler::from_dump(dump);
+        assert_eq!(
+            ClusterScheduler::from_dump(dump),
+            Err(DumpError::DuplicateVm(VmId::new(1)))
+        );
+    }
+
+    #[test]
+    fn inconsistent_dumps_are_typed_errors() {
+        let mut s = ClusterScheduler::new(&ids(2), cap(), 2, PlacementHeuristic::BestFit);
+        s.place(full_demand(1, 2.0, 8.0));
+        let dump = s.dump();
+
+        let mut empty = dump.clone();
+        empty.servers.clear();
+        assert_eq!(
+            ClusterScheduler::from_dump(empty),
+            Err(DumpError::NoServers)
+        );
+
+        let mut twin = dump.clone();
+        twin.servers[1].id = twin.servers[0].id;
+        assert_eq!(
+            ClusterScheduler::from_dump(twin),
+            Err(DumpError::DuplicateServer(ServerId::new(0)))
+        );
+
+        let mut short = dump.clone();
+        short.servers[1].window_sum.pop();
+        assert_eq!(
+            ClusterScheduler::from_dump(short),
+            Err(DumpError::WindowLength(ServerId::new(1)))
+        );
+
+        let mut odd_demand = dump;
+        odd_demand.servers[0].vms[0].window_max = WindowVec::from_elem(ResourceVec::ZERO, 3);
+        assert_eq!(
+            ClusterScheduler::from_dump(odd_demand),
+            Err(DumpError::WindowLength(ServerId::new(0)))
+        );
     }
 }
 
@@ -780,5 +771,208 @@ mod proptests {
             prop_assert_eq!(indexed.vm_count(), naive.vm_count());
             prop_assert_eq!(indexed.servers_in_use(), naive.servers_in_use());
         }
+
+        /// Ties and exact boundaries. Every fraction of the request is a
+        /// multiple of 1/8, so guaranteed memory and server headroom take
+        /// few values and ties between servers are the rule; boundary
+        /// operations demand exactly a server's headroom, or up to
+        /// `FIT_EPS` more, so the walk's start key sits on a feasible
+        /// server. Each indexed scheduler is restored from its dump half-way
+        /// and must keep deciding as the naive scan does.
+        #[test]
+        fn prop_ties_and_boundaries_match_naive(
+            ops in prop::collection::vec(
+                (0u8..10, 0u64..4096, prop::collection::vec(1u8..=8, 3), 1u8..=8),
+                1..160,
+            ),
+            n_servers in 32u64..40,
+        ) {
+            const FIT_EPS: f64 = 1e-9; // ResourceVec::fits_within's slack
+            let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
+            let ids: Vec<ServerId> = (0..n_servers).map(ServerId::new).collect();
+            let eighths = |e: u8| f64::from(e) / 8.0;
+            for heuristic in [
+                PlacementHeuristic::BestFit,
+                PlacementHeuristic::FirstFit,
+                PlacementHeuristic::WorstFit,
+            ] {
+                let mut indexed = ClusterScheduler::new(&ids, capacity, 3, heuristic);
+                let mut naive = ClusterScheduler::with_strategy(
+                    &ids, capacity, 3, heuristic, ScanStrategy::NaiveReference,
+                );
+                for (i, (kind, sel, window_eighths, guar_eighths)) in ops.iter().enumerate() {
+                    if i == ops.len() / 2 {
+                        let restored = ClusterScheduler::from_dump(indexed.dump());
+                        prop_assert_eq!(restored.as_ref(), Ok(&indexed));
+                        indexed = restored.expect("consistent dump");
+                    }
+                    let pick = ids[(*sel % n_servers) as usize];
+                    let (demand, excluded) = match kind {
+                        0..=5 => {
+                            let fracs: Vec<f64> =
+                                window_eighths.iter().map(|&e| eighths(e)).collect();
+                            let excluded = if *kind == 5 {
+                                let other = ids[((*sel / n_servers) % n_servers) as usize];
+                                vec![pick, other, ServerId::new(4242)]
+                            } else {
+                                Vec::new()
+                            };
+                            (demand_from(i, &fracs, eighths(*guar_eighths)), excluded)
+                        }
+                        6 | 7 => {
+                            let server = naive.server(pick).expect("known server");
+                            let over = if *kind == 7 {
+                                FIT_EPS * eighths(*guar_eighths)
+                            } else {
+                                0.0
+                            };
+                            let mem = server.free_guaranteed().memory() + over;
+                            let guaranteed = ResourceVec::new(0.5, mem, 0.25, 16.0);
+                            let demand = VmDemand {
+                                vm: VmId::new(1000 + i as u64),
+                                requested: ResourceVec::new(1.0, mem, 0.5, 32.0),
+                                guaranteed,
+                                window_max: WindowVec::from_elem(guaranteed, 3),
+                            };
+                            (demand, Vec::new())
+                        }
+                        _ => {
+                            let vm = VmId::new(1000 + *sel % (i as u64 + 1));
+                            prop_assert_eq!(indexed.remove(vm), naive.remove(vm));
+                            continue;
+                        }
+                    };
+                    let a = indexed.place_excluding(demand.clone(), &excluded);
+                    let b = naive.place_excluding(demand, &excluded);
+                    prop_assert!(
+                        a == b,
+                        "{:?} op {} (kind {}): {:?} != {:?}", heuristic, i, kind, a, b
+                    );
+                }
+                prop_assert_eq!(indexed.counters(), naive.counters());
+                prop_assert_eq!(indexed.servers_in_use(), naive.servers_in_use());
+            }
+        }
+    }
+}
+
+/// Bounded-exhaustive check of the indexed scan: every sequence of up to a
+/// fixed number of operations from a small alphabet, over three servers and
+/// all three heuristics, must decide exactly as the naive scan at every
+/// step. The alphabet packs to exact guaranteed-memory and per-window
+/// boundaries, makes every empty server a headroom tie, and includes a
+/// CPU-heavy demand that fails on a server whose memory would still fit.
+#[cfg(test)]
+mod small_scope {
+    use super::*;
+
+    /// Place operations, as (guaranteed, window 0 max, window 1 max), GB of
+    /// memory over a 64 GB server, plus the guaranteed cores of each.
+    const PLACES: [(f64, f64, f64, f64); 5] = [
+        (16.0, 16.0, 16.0, 2.0),
+        (16.0, 48.0, 16.0, 2.0),
+        (16.0, 16.0, 48.0, 2.0),
+        (32.0, 32.0, 32.0, 2.0),
+        (8.0, 8.0, 8.0, 12.0),
+    ];
+    /// The two remove operations: the newest and the oldest live VM.
+    const OPS: usize = PLACES.len() + 2;
+
+    #[derive(Clone)]
+    struct Pair {
+        indexed: ClusterScheduler,
+        naive: ClusterScheduler,
+        live: Vec<VmId>,
+        next_vm: u64,
+    }
+
+    impl Pair {
+        fn new(heuristic: PlacementHeuristic) -> Self {
+            let ids: Vec<ServerId> = (0..3).map(ServerId::new).collect();
+            let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
+            Pair {
+                indexed: ClusterScheduler::new(&ids, capacity, 2, heuristic),
+                naive: ClusterScheduler::with_strategy(
+                    &ids,
+                    capacity,
+                    2,
+                    heuristic,
+                    ScanStrategy::NaiveReference,
+                ),
+                live: Vec::new(),
+                next_vm: 0,
+            }
+        }
+
+        fn apply(&mut self, op: usize, path: &[usize]) {
+            if let Some(&(guar, w0, w1, cores)) = PLACES.get(op) {
+                let vm = VmId::new(self.next_vm);
+                self.next_vm += 1;
+                let window = |mem| ResourceVec::new(cores, mem, 0.5, 16.0);
+                let demand = VmDemand {
+                    vm,
+                    requested: window(48.0),
+                    guaranteed: window(guar),
+                    window_max: vec![window(w0), window(w1)].into(),
+                };
+                let a = self.indexed.place(demand.clone());
+                assert_eq!(a, self.naive.place(demand), "diverged after {path:?}");
+                if a != PlacementOutcome::Rejected {
+                    self.live.push(vm);
+                }
+            } else if !self.live.is_empty() {
+                let at = if op == PLACES.len() {
+                    self.live.len() - 1
+                } else {
+                    0
+                };
+                let vm = self.live.remove(at);
+                assert_eq!(
+                    self.indexed.remove(vm),
+                    self.naive.remove(vm),
+                    "diverged after {path:?}"
+                );
+            }
+        }
+    }
+
+    /// Visit every extension of `pair` by up to `depth` operations; returns
+    /// the number of sequences visited.
+    fn explore(pair: &Pair, depth: usize, path: &mut Vec<usize>) -> u64 {
+        if depth == 0 {
+            return 0;
+        }
+        let mut visited = 0;
+        for op in 0..OPS {
+            path.push(op);
+            let mut next = pair.clone();
+            next.apply(op, path);
+            visited += 1 + explore(&next, depth - 1, path);
+            path.pop();
+        }
+        visited
+    }
+
+    fn check_all_sequences(depth: usize) {
+        let expected: u64 = (1..=depth as u32).map(|k| (OPS as u64).pow(k)).sum();
+        for heuristic in [
+            PlacementHeuristic::BestFit,
+            PlacementHeuristic::FirstFit,
+            PlacementHeuristic::WorstFit,
+        ] {
+            let visited = explore(&Pair::new(heuristic), depth, &mut Vec::new());
+            assert_eq!(visited, expected, "{heuristic:?} skipped sequences");
+        }
+    }
+
+    #[test]
+    fn indexed_matches_naive_on_every_short_sequence() {
+        check_all_sequences(5);
+    }
+
+    #[test]
+    #[ignore = "takes minutes in a debug build; CI runs it in release"]
+    fn indexed_matches_naive_on_every_longer_sequence() {
+        check_all_sequences(8);
     }
 }

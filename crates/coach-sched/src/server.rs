@@ -9,6 +9,13 @@
 use crate::demand::VmDemand;
 use coach_types::prelude::*;
 use std::collections::HashMap;
+use std::fmt;
+
+/// Margin by which the slack-summary shortcuts of
+/// [`ServerState::can_fit_with_bounds`] stay away from the feasibility
+/// boundary: far above the rounding error of capacity-scale sums, far below
+/// any demand.
+const SLACK_PAD: f64 = 1e-6;
 
 /// One server's packing state under time-window scheduling (§3.3).
 ///
@@ -138,13 +145,18 @@ impl ServerState {
         if !(self.guaranteed_sum + d.guaranteed).fits_within(&self.capacity) {
             return false;
         }
+        // `demand <= capacity - sum` rounds differently from the exact
+        // check's `sum + demand <= capacity`, so both shortcuts keep
+        // SLACK_PAD clear of the boundary and leave the band to the exact
+        // scan.
+        let pad = ResourceVec::splat(SLACK_PAD);
         // Quick accept: the worst window demand fits the tightest slack.
-        if peak.fits_within(&self.min_window_slack) {
+        if peak.fits_within(&(self.min_window_slack - pad)) {
             return true;
         }
         // Quick reject: the mildest window demand overflows the loosest
         // slack on some resource, so every window overflows there.
-        if !trough.fits_within(&self.max_window_slack) {
+        if !trough.fits_within(&(self.max_window_slack + pad)) {
             return false;
         }
         self.windows_fit_exact(d)
@@ -330,18 +342,30 @@ impl ServerState {
     /// live path uses (`ServerState::refresh_slack` is deterministic in
     /// `capacity`/`window_sum`), so they match the dumped instance exactly.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the dump is structurally inconsistent (zero windows,
-    /// mismatched per-window vector lengths, or duplicate VM ids).
-    pub fn from_dump(dump: ServerStateDump) -> Self {
-        assert!(dump.windows > 0, "dump has zero windows");
-        assert_eq!(dump.window_sum.len(), dump.windows, "window_sum length");
-        assert_eq!(dump.va_mem_sum.len(), dump.windows, "va_mem_sum length");
+    /// [`DumpError::WindowLength`] if the dump has zero windows, a
+    /// per-window sum vector of another length, or a hosted demand with
+    /// neither one window nor the server's count;
+    /// [`DumpError::DuplicateVm`] if it hosts a VM twice.
+    pub fn from_dump(dump: ServerStateDump) -> Result<Self, DumpError> {
+        let windows = dump.windows;
+        if windows == 0
+            || dump.window_sum.len() != windows
+            || dump.va_mem_sum.len() != windows
+            || dump
+                .vms
+                .iter()
+                .any(|d| d.window_count() != 1 && d.window_count() != windows)
+        {
+            return Err(DumpError::WindowLength(dump.id));
+        }
         let mut vms = HashMap::with_capacity(dump.vms.len());
         for d in dump.vms {
             let id = d.vm;
-            assert!(vms.insert(id, d).is_none(), "duplicate VM {id} in dump");
+            if vms.insert(id, d).is_some() {
+                return Err(DumpError::DuplicateVm(id));
+            }
         }
         let mut server = ServerState {
             id: dump.id,
@@ -356,9 +380,40 @@ impl ServerState {
             vms,
         };
         server.refresh_slack();
-        server
+        Ok(server)
     }
 }
+
+/// Why a [`ServerStateDump`] or a
+/// [`ClusterSchedulerDump`](crate::ClusterSchedulerDump) cannot be
+/// restored. No honest dump produces one; a corrupt or hand-edited one can.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DumpError {
+    /// The cluster dump lists no servers.
+    NoServers,
+    /// Two servers share this id.
+    DuplicateServer(ServerId),
+    /// This VM is hosted twice, on one server or on two.
+    DuplicateVm(VmId),
+    /// This server's dump has zero windows, or a per-window vector whose
+    /// length disagrees with its window count.
+    WindowLength(ServerId),
+}
+
+impl fmt::Display for DumpError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DumpError::NoServers => write!(f, "scheduler dump has no servers"),
+            DumpError::DuplicateServer(id) => write!(f, "server {id} appears twice in dump"),
+            DumpError::DuplicateVm(vm) => write!(f, "VM {vm} is hosted twice in dump"),
+            DumpError::WindowLength(id) => {
+                write!(f, "server {id} dump has inconsistent window vectors")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DumpError {}
 
 /// A [`ServerState`] flattened for snapshot/restore: the incrementally
 /// maintained sums verbatim plus the hosted demands sorted by id.
@@ -554,6 +609,19 @@ mod tests {
                 "bounds check diverged for guar={guar} win={win:?}"
             );
         }
+    }
+
+    #[test]
+    fn can_fit_with_bounds_matches_can_fit_at_the_boundary() {
+        // Window 0 holds 20 GB plus all of fits_within's 1e-9 slack, so a
+        // 28 GB window lands on the boundary, where `28 <= 48 - sum` and
+        // `sum + 28 <= 48` round to different verdicts.
+        let mut s = server();
+        s.place(demand(1, 1.0, [20.0 + 1e-9, 1.0, 1.0])).unwrap();
+        let d = demand(2, 1.0, [28.0, 1.0, 1.0]);
+        let (peak, trough) = (d.window_peak(), d.window_trough());
+        assert!(!s.can_fit(&d));
+        assert!(!s.can_fit_with_bounds(&d, &peak, &trough));
     }
 
     #[test]

@@ -203,7 +203,7 @@ mod tests {
 
         let frame = seal_frame(&sched.dump());
         let dump: ClusterSchedulerDump = open_frame(&frame).expect("decode scheduler dump");
-        let restored = ClusterScheduler::from_dump(dump);
+        let restored = ClusterScheduler::from_dump(dump).expect("consistent dump");
         assert_eq!(restored, sched);
     }
 }

@@ -718,8 +718,9 @@ impl<'a> Controller<'a> {
     ///
     /// Structural problems in the bytes (truncation, bad tags, a window
     /// partition that disagrees with `predictor`, an out-of-range server
-    /// fraction, a zero violation-sampling cadence) surface as
-    /// `Err(WireError)`.
+    /// fraction, a zero violation-sampling cadence, a scheduler dump with
+    /// no servers, a repeated server or VM, or mismatched window vectors)
+    /// surface as `Err(WireError)`.
     ///
     /// # Panics
     ///
@@ -765,25 +766,33 @@ impl<'a> Controller<'a> {
                 )
             })
             .collect();
+        // Restore the accountant before the schedulers: its dump is then
+        // freed before they are built, which keeps restore's peak memory down.
+        let accountant = ViolationAccountant::from_dump(
+            config.sample_every,
+            config.horizon,
+            dump.accountant,
+            &resolve,
+        );
+        let clusters = dump
+            .clusters
+            .into_iter()
+            .map(|(id, capacity, sched)| {
+                Ok(ClusterState {
+                    id,
+                    capacity,
+                    sched: ClusterScheduler::from_dump(sched).map_err(|_| WireError::Invalid {
+                        context: "snapshot scheduler",
+                    })?,
+                })
+            })
+            .collect::<Result<Vec<_>, WireError>>()?;
         Ok(Controller {
-            accountant: ViolationAccountant::from_dump(
-                config.sample_every,
-                config.horizon,
-                dump.accountant,
-                &resolve,
-            ),
+            accountant,
             config,
             predictor,
             tw,
-            clusters: dump
-                .clusters
-                .into_iter()
-                .map(|(id, capacity, sched)| ClusterState {
-                    id,
-                    capacity,
-                    sched: ClusterScheduler::from_dump(sched),
-                })
-                .collect(),
+            clusters,
             residents: ResidentStore::from_dump(dump.store),
             departures: BinaryHeap::from(
                 dump.departures.into_iter().map(Reverse).collect::<Vec<_>>(),

@@ -796,6 +796,42 @@ mod tests {
         ));
     }
 
+    /// A snapshot whose scheduler hosts one VM on two servers is corrupt:
+    /// restore must return a typed error instead of panicking.
+    #[test]
+    fn restore_rejects_vm_hosted_on_two_servers() {
+        use crate::{Controller, RequestSource};
+        use std::collections::HashMap;
+
+        let trace = generate(&TraceConfig::small(37));
+        let oracle = coach_sim::Oracle::new(TimeWindows::paper_default());
+        let coach = PolicyConfig::paper_set().remove(2);
+        let mut controller = Controller::replaying(&trace, &oracle, coach, 0.6);
+        let requests: Vec<_> = RequestSource::replaying(&trace).collect();
+        for request in &requests[..requests.len() / 2] {
+            controller.handle(*request);
+        }
+        let mut dump: ControllerDump =
+            open_frame(controller.snapshot().bytes()).expect("decode ControllerDump");
+        let servers = dump
+            .clusters
+            .iter_mut()
+            .map(|(_, _, sched)| &mut sched.servers)
+            .find(|servers| servers.len() > 1 && !servers[0].vms.is_empty())
+            .expect("a cluster with a hosting first server");
+        let hosted = servers[0].vms[0].clone();
+        servers[1].vms.push(hosted);
+        let corrupt = Snapshot::from_bytes(seal_frame(&dump));
+        let table: HashMap<VmId, &VmRecord> = trace.vms.iter().map(|r| (r.id, r)).collect();
+        let restored = Controller::restore(&oracle, &corrupt, |vm| table.get(&vm).copied());
+        assert!(matches!(
+            restored.err(),
+            Some(WireError::Invalid {
+                context: "snapshot scheduler"
+            })
+        ));
+    }
+
     #[test]
     fn telemetry_frames_roundtrip() {
         for mode in [
