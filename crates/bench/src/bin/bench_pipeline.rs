@@ -6,8 +6,8 @@
 //!
 //! Phases and their fast/reference pairs:
 //!
-//! * **generate** — indexed first-fit trace generator
-//!   (`coach_trace::GenScan`).
+//! * **generate** — the first-fit trace generator (`coach_trace::generate`;
+//!   wall only, no reference pair).
 //! * **derive** — lazy analytic oracle (`coach_sim::Oracle`, via
 //!   `WindowStats`) vs. the eager materializing path
 //!   (`coach_sim::NaiveReference`); derived demands must be identical and
@@ -213,7 +213,7 @@ fn stats_json(s: &ReplayStats) -> String {
 fn run_large() -> String {
     let config = TraceConfig::large(2026);
     eprintln!(
-        "bench_pipeline: [large] generating {} VMs (indexed first-fit)...",
+        "bench_pipeline: [large] generating {} VMs (first-fit)...",
         config.vm_count
     );
     let t0 = Instant::now();

@@ -34,10 +34,9 @@
 //!   parked). The best-batch ring/mutex throughput ratio is floor-gated:
 //!   the ring must never lose to the lane it replaced.
 //! * **sharded** — the same stream through the persistent-worker
-//!   `ShardedController` (`--shards N`, default ≈ available cores), lanes
-//!   from `--lanes` (default `ring`), probe mode from `--probe-mode`
-//!   (default `differential`: every measurement asserts estimator ==
-//!   exhaustive).
+//!   `ShardedController` (`--shards N`, default ≈ available cores), probe
+//!   mode from `--probe-mode` (default `differential`: every measurement
+//!   asserts estimator == exhaustive).
 //!   Exact integer agreement with single-shard is asserted and
 //!   per-shard-count throughput recorded — the CI scale-out matrix uploads
 //!   one JSON per shard count. Lane telemetry (sends, batched handoffs,
@@ -67,7 +66,7 @@
 //!   per-VM ceiling — the flat-memory claim, gated by `bench_trend`.
 //!
 //! Usage: `bench_serve [--quick] [--large] [--shards N]
-//! [--backend thread|process] [--lanes ring|mutex]
+//! [--backend thread|process]
 //! [--probe-mode exhaustive|estimated|differential]
 //! [--telemetry off|counters|full] [--metrics-out PATH] [--out PATH]
 //! [--scenario surge|evac|group-fail|sku-mix|all]`
@@ -332,9 +331,42 @@ fn footprint_json(demands: &[VmDemand]) -> String {
     )
 }
 
+/// The two lanes the microbench compares — the ring and the mutex lane —
+/// behind one interface. The runtime itself uses each directly.
+trait BenchLane: Send {
+    type Rx: Send;
+    fn send(&self, item: u64);
+    fn send_batch(&self, items: Vec<u64>);
+    fn recv_batch(rx: &Self::Rx, out: &mut Vec<u64>, max: usize) -> usize;
+    fn stats(rx: &Self::Rx) -> LaneStats;
+}
+
+macro_rules! bench_lane {
+    ($tx:ident, $rx:ident) => {
+        impl BenchLane for $tx<u64> {
+            type Rx = $rx<u64>;
+            fn send(&self, item: u64) {
+                $tx::send(self, item)
+            }
+            fn send_batch(&self, items: Vec<u64>) {
+                $tx::send_batch(self, items)
+            }
+            fn recv_batch(rx: &Self::Rx, out: &mut Vec<u64>, max: usize) -> usize {
+                rx.recv_batch(out, max)
+            }
+            fn stats(rx: &Self::Rx) -> LaneStats {
+                rx.stats()
+            }
+        }
+    };
+}
+
+bench_lane!(RingSender, RingReceiver);
+bench_lane!(SpscSender, SpscReceiver);
+
 /// One lane-microbench measurement: `total` `u64` messages through a
-/// fresh lane of `kind`, sent in `batch`-item chunks (1 ⇒ the scalar
-/// `send`), drained by a consumer thread in up-to-64-item bursts.
+/// fresh lane, sent in `batch`-item chunks (1 ⇒ the scalar `send`),
+/// drained by a consumer thread in up-to-64-item bursts.
 struct LaneBench {
     msgs_per_s: f64,
     wakeups: u64,
@@ -342,8 +374,7 @@ struct LaneBench {
     full_stalls: u64,
 }
 
-fn lane_bench(kind: LaneKind, total: usize, batch: usize) -> LaneBench {
-    let (tx, rx) = lane_channel::<u64>(kind, DEFAULT_RING_CAPACITY);
+fn lane_bench<L: BenchLane>((tx, rx): (L, L::Rx), total: usize, batch: usize) -> LaneBench {
     let start = Instant::now();
     let (received, stats) = std::thread::scope(|scope| {
         let consumer = scope.spawn(move || {
@@ -351,7 +382,7 @@ fn lane_bench(kind: LaneKind, total: usize, batch: usize) -> LaneBench {
             let mut received = 0usize;
             loop {
                 buf.clear();
-                let n = rx.recv_batch(&mut buf, 64);
+                let n = L::recv_batch(&rx, &mut buf, 64);
                 if n == 0 {
                     break;
                 }
@@ -359,7 +390,7 @@ fn lane_bench(kind: LaneKind, total: usize, batch: usize) -> LaneBench {
             }
             // The receiver's snapshot sees both endpoints' counters (they
             // share one atomic block) after every send has landed.
-            (received, rx.stats())
+            (received, L::stats(&rx))
         });
         let mut next = 0u64;
         while (next as usize) < total {
@@ -759,12 +790,6 @@ fn main() {
         "differential" => ProbeMode::Differential,
         other => panic!("--probe-mode is exhaustive|estimated|differential, got {other:?}"),
     };
-    let lanes = match flag_value(&args, "--lanes") {
-        None => LaneKind::Ring,
-        Some(name) => {
-            LaneKind::parse(&name).unwrap_or_else(|| panic!("--lanes is ring|mutex, got {name:?}"))
-        }
-    };
     let backend_name = flag_value(&args, "--backend").unwrap_or_else(|| "thread".to_string());
     let backend = WorkerBackend::parse(&backend_name)
         .unwrap_or_else(|| panic!("--backend is thread|process, got {backend_name:?}"));
@@ -996,11 +1021,11 @@ fn main() {
     let lane_batches = [1usize, 4, 16];
     let ring_runs: Vec<LaneBench> = lane_batches
         .iter()
-        .map(|&b| lane_bench(LaneKind::Ring, lane_msgs, b))
+        .map(|&b| lane_bench(ring_channel(DEFAULT_RING_CAPACITY), lane_msgs, b))
         .collect();
     let mutex_runs: Vec<LaneBench> = lane_batches
         .iter()
-        .map(|&b| lane_bench(LaneKind::MutexRef, lane_msgs, b))
+        .map(|&b| lane_bench(spsc_channel(), lane_msgs, b))
         .collect();
     let best = |runs: &[LaneBench]| {
         runs.iter()
@@ -1037,21 +1062,18 @@ fn main() {
     );
 
     // --- Phase 9: the sharded worker runtime, one persistent session for
-    // the whole stream (+ finalize), on the configured lane kind.
+    // the whole stream (+ finalize).
     let shard_count = shards_flag
         .unwrap_or_else(|| trace.clusters.len().min(available_threads().max(2)))
         .max(1);
     eprintln!(
         "bench_serve: streaming through {shard_count} persistent {} shard workers \
-         ({} lanes, {probe_mode_name} probes, \
-         {telemetry_name} telemetry)...",
-        backend.label(),
-        lanes.label()
+         ({probe_mode_name} probes, {telemetry_name} telemetry)...",
+        backend.label()
     );
     let mut config_sharded = ServeConfig::replaying(coach, fraction, trace.horizon);
     config_sharded.sample_every = horizon_span;
     config_sharded.probe_mode = sharded_probe_mode;
-    config_sharded.lanes = lanes;
     config_sharded.backend = backend;
     config_sharded.telemetry = telemetry_mode;
     let mut sharded = ShardedController::new(&trace.clusters, &warm, config_sharded, shard_count);
@@ -1304,7 +1326,7 @@ fn main() {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let json = format!(
-        "{{\n  \"schema\": \"coach/bench_serve/v8\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"coach/bench_serve/v9\",\n  \"mode\": \"{mode}\",\n  \
          \"unix_time\": {unix_time},\n  \
          \"trace\": {{\"vms\": {vms}, \"servers\": {servers}, \"clusters\": {clusters}}},\n  \
          \"derive\": {{\"wall_s\": {derive_s:.3}, \"vms_per_s\": {derive_per_s:.0}}},\n  \
@@ -1339,7 +1361,6 @@ fn main() {
          \"gate_active\": {lane_gate_active}, \"met\": {lane_met}}},\n  \
          \"sharded\": {{\"shards\": {shard_count}, \"backend\": \"{backend_label}\", \
          \"probe_mode\": \"{probe_mode_name}\", \
-         \"lanes\": \"{lane_label}\", \
          \"wall_s\": {sharded_wall:.3}, \"placed_per_s\": {sharded_placed_per_s:.1}, \
          \"matches_single_shard\": {sharded_identical}, \
          \"lane_telemetry\": {{\"sends\": {lt_sends}, \"batched_sends\": {lt_batched}, \
@@ -1400,7 +1421,6 @@ fn main() {
         mutex4 = lane_bench_json(&mutex_runs[1]),
         mutex16 = lane_bench_json(&mutex_runs[2]),
         backend_label = backend.label(),
-        lane_label = lanes.label(),
         lt_sends = lane_totals.sends,
         lt_batched = lane_totals.batched_sends,
         lt_wakeups = lane_totals.wakeups,

@@ -21,6 +21,7 @@
 use coach_sched::VmDemand;
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
+use coach_wire::WireError;
 use std::collections::{HashMap, VecDeque};
 
 /// A placed VM as the accountant tracks it: the record (for closed-form
@@ -278,54 +279,63 @@ impl ViolationAccountant {
     /// reference through `resolve` (a trace lookup on the parent side, the
     /// snapshot's leaked record table inside a process worker).
     ///
-    /// # Panics
-    ///
-    /// Panics if `resolve` cannot produce a record for a referenced VM or
-    /// the dump names a server twice — the snapshot and the record source
+    /// A VM `resolve` cannot produce, or a server the dump names twice, is
+    /// a [`WireError::Invalid`]: the snapshot and the record source
     /// disagree, and resampling from partial state would silently corrupt
     /// the violation counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample_every` is zero (restore rejects such a frame
+    /// before calling this).
     pub(crate) fn from_dump<'r>(
         sample_every: SimDuration,
         horizon: Timestamp,
         dump: AccountantDump,
         resolve: &impl Fn(VmId) -> Option<&'r VmRecord>,
-    ) -> ViolationAccountant {
+    ) -> Result<ViolationAccountant, WireError> {
         assert!(sample_every.ticks() > 0, "sample cadence must be positive");
-        let revive = |e: &VmEntryDump| -> VmEntry {
-            let rec = resolve(e.vm)
-                .unwrap_or_else(|| panic!("snapshot references unresolvable VM {:?}", e.vm));
-            VmEntry {
-                rec: rec.clone(),
-                guar_mem: e.guar_mem,
-                windows: e.windows.clone(),
-                depart: e.depart,
+        // Exact-capacity vectors: collecting through `Result` loses the
+        // size hint, and doubling growth would inflate restore's peak.
+        let revive = |entries: &[VmEntryDump]| -> Result<Vec<VmEntry>, WireError> {
+            let mut revived = Vec::with_capacity(entries.len());
+            for e in entries {
+                let rec = resolve(e.vm).ok_or(WireError::Invalid {
+                    context: "snapshot record reference",
+                })?;
+                revived.push(VmEntry {
+                    rec: rec.clone(),
+                    guar_mem: e.guar_mem,
+                    windows: e.windows.clone(),
+                    depart: e.depart,
+                });
             }
+            Ok(revived)
         };
         let mut servers = HashMap::with_capacity(dump.servers.len());
         for s in &dump.servers {
             let account = ServerAccount {
                 capacity: s.capacity,
                 next_sample: s.next_sample,
-                pending: s.pending.iter().map(revive).collect(),
-                resident: s.resident.iter().map(revive).collect(),
+                pending: VecDeque::from(revive(&s.pending)?),
+                resident: revive(&s.resident)?,
                 pa_sum: s.pa_sum,
                 va_sums: s.va_sums.clone(),
                 samples: s.samples,
                 cpu_violations: s.cpu_violations,
                 mem_violations: s.mem_violations,
             };
-            let previous = servers.insert(s.server, account);
-            assert!(
-                previous.is_none(),
-                "accountant dump names server {:?} twice",
-                s.server
-            );
+            if servers.insert(s.server, account).is_some() {
+                return Err(WireError::Invalid {
+                    context: "snapshot accountant server",
+                });
+            }
         }
-        ViolationAccountant {
+        Ok(ViolationAccountant {
             sample_every,
             horizon,
             servers,
-        }
+        })
     }
 }
 
@@ -481,7 +491,8 @@ mod tests {
         let mut restored =
             ViolationAccountant::from_dump(every, trace.horizon, dump.clone(), &|vm| {
                 by_id.get(&vm).copied()
-            });
+            })
+            .expect("consistent dump restores");
         assert_eq!(restored.dump(), dump, "restore re-dumps identically");
 
         // Both halves finish to the horizon with identical counters: the
@@ -490,22 +501,5 @@ mod tests {
         restored.finish();
         assert_eq!(restored.totals(), acc.totals());
         assert_eq!(restored.dump(), acc.dump());
-    }
-
-    #[test]
-    #[should_panic(expected = "unresolvable VM")]
-    fn restore_with_missing_record_panics() {
-        let trace = generate(&TraceConfig::small(11));
-        let every = SimDuration::from_hours(2);
-        let mut acc = ViolationAccountant::new(every, trace.horizon);
-        let vm = &trace.vms[0];
-        acc.on_placed(
-            ServerId::new(0),
-            ResourceVec::new(48.0, 192.0, 40.0, 4096.0),
-            vm,
-            &VmDemand::unpredicted(vm.id, vm.demand()),
-        );
-        let dump = acc.dump();
-        let _ = ViolationAccountant::from_dump(every, trace.horizon, dump, &|_| None);
     }
 }

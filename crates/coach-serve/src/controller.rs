@@ -41,20 +41,12 @@ pub struct ServeConfig {
     /// Record admission latency for every `latency_stride`-th arrival (the
     /// clock reads would otherwise bias sub-microsecond placements).
     pub latency_stride: usize,
-    /// Record an occupancy-delta timeline so a sharded deployment can
-    /// reconstruct the exact global `peak_servers_in_use` (the running peak
-    /// of a *sum* across shards is not the sum of per-shard peaks).
-    pub occupancy_timeline: bool,
     /// How [`Request::Probe`] measurements are produced: the exhaustive
     /// pack/unpack fill (the batch replay's exact float trajectory), the
     /// read-only incremental estimator over cached per-server summaries, or
     /// both with an equality assertion
     /// ([`ProbeMode::Differential`]).
     pub probe_mode: ProbeMode,
-    /// SPSC lane implementation for the sharded worker runtime: the
-    /// lock-free ring (default) or the mutex reference lane. Lane choice
-    /// never changes decisions — only the cost of moving them.
-    pub lanes: LaneKind,
     /// Where a sharded deployment's workers execute: in-process threads
     /// (default) or supervised child processes speaking `coach-wire`
     /// frames over pipes ([`coach_types::runtime::ProcessPool`]). A
@@ -86,12 +78,10 @@ impl ServeConfig {
             horizon,
             sample_every: VIOLATION_SAMPLE_EVERY,
             latency_stride: 8,
-            occupancy_timeline: false,
             // Exhaustive keeps even the probe fill's add/remove float dust
             // identical to the batch experiment; a deployment that doesn't
             // need batch bit-identity should switch to `Estimated`.
             probe_mode: ProbeMode::Exhaustive,
-            lanes: LaneKind::Ring,
             backend: WorkerBackend::Thread,
             telemetry: TelemetryConfig::Off,
         }
@@ -162,6 +152,11 @@ pub struct Controller<'a> {
     counters: Counters,
     in_use: usize,
     peak_in_use: usize,
+    /// Whether occupancy changes are recorded into `timeline`. Only a
+    /// shard of a [`crate::ShardedController`] records: the running peak
+    /// of a *sum* across shards is not the sum of per-shard peaks, so the
+    /// dispatcher merges the shards' delta timelines instead.
+    record_timeline: bool,
     timeline: Vec<OccDelta>,
     /// Armed telemetry, or `None` under [`TelemetryConfig::Off`] — the
     /// guarded fast path every instrumented site branches on.
@@ -229,6 +224,7 @@ impl<'a> Controller<'a> {
             counters: Counters::default(),
             in_use: 0,
             peak_in_use: 0,
+            record_timeline: false,
             timeline: Vec::new(),
             telemetry: None,
         };
@@ -501,7 +497,7 @@ impl<'a> Controller<'a> {
         }
         self.in_use = self.in_use + after - before;
         self.peak_in_use = self.peak_in_use.max(self.in_use);
-        if self.config.occupancy_timeline {
+        if self.record_timeline {
             self.timeline
                 .push((ticks, kind, seq, after as i32 - before as i32));
         }
@@ -528,9 +524,6 @@ impl<'a> Controller<'a> {
             ticks: self.counters.ticks,
             admission_p50_us: self.latency.quantile_us(0.50),
             admission_p99_us: self.latency.quantile_us(0.99),
-            // A single controller has no worker lanes; the sharded
-            // dispatcher overwrites these at merge time.
-            ..StatsReport::default()
         }
     }
 
@@ -624,8 +617,15 @@ impl<'a> Controller<'a> {
         &self.probe_counts
     }
 
+    /// Start recording the occupancy-delta timeline (see
+    /// `record_timeline`). Every shard controller is armed — at sharded
+    /// construction, on `resume_shard`, and in a process worker's `Init`.
+    pub(crate) fn arm_timeline(&mut self) {
+        self.record_timeline = true;
+    }
+
     /// Drain the occupancy-delta timeline recorded since the last call
-    /// (empty unless [`ServeConfig::occupancy_timeline`] was set). The
+    /// (empty unless [`Self::arm_timeline`] was called). The
     /// sharded dispatcher accumulates these drains per shard, so each
     /// snapshot ships only the deltas since the previous synchronization.
     pub(crate) fn take_timeline(&mut self) -> Vec<OccDelta> {
@@ -716,17 +716,18 @@ impl<'a> Controller<'a> {
     /// on the parent side, or the snapshot's own leaked
     /// [`Snapshot::records`] table inside a process worker.
     ///
-    /// Structural problems in the bytes (truncation, bad tags, a window
+    /// A restored controller records no occupancy timeline; a sharded
+    /// deployment re-arms its shards.
+    ///
+    /// Every problem in the bytes surfaces as `Err(WireError)` and nothing
+    /// panics: structural damage (truncation, bad tags), a window
     /// partition that disagrees with `predictor`, an out-of-range server
     /// fraction, a zero violation-sampling cadence, a scheduler dump with
-    /// no servers, a repeated server or VM, or mismatched window vectors)
-    /// surface as `Err(WireError)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a structurally valid dump is semantically inconsistent:
-    /// `resolve` cannot produce a referenced record, a VM occupies two
-    /// resident slots, or the accountant names a server twice.
+    /// no servers, a repeated server or VM, mismatched window vectors, a
+    /// record `resolve` cannot produce, an accountant that names a server
+    /// twice, resident-store columns of different lengths, a VM in two
+    /// resident slots, a resident in a cluster the snapshot does not have,
+    /// or a free-list slot that is out of range, occupied or listed twice.
     pub fn restore<'r>(
         predictor: &'a dyn Predictor,
         snapshot: &Snapshot,
@@ -773,7 +774,7 @@ impl<'a> Controller<'a> {
             config.horizon,
             dump.accountant,
             &resolve,
-        );
+        )?;
         let clusters = dump
             .clusters
             .into_iter()
@@ -787,13 +788,14 @@ impl<'a> Controller<'a> {
                 })
             })
             .collect::<Result<Vec<_>, WireError>>()?;
+        let residents = ResidentStore::from_dump(dump.store, clusters.len())?;
         Ok(Controller {
             accountant,
             config,
             predictor,
             tw,
             clusters,
-            residents: ResidentStore::from_dump(dump.store),
+            residents,
             departures: BinaryHeap::from(
                 dump.departures.into_iter().map(Reverse).collect::<Vec<_>>(),
             ),
@@ -815,6 +817,7 @@ impl<'a> Controller<'a> {
             },
             in_use: dump.in_use,
             peak_in_use: dump.peak_in_use,
+            record_timeline: false,
             timeline: dump.timeline,
             // Telemetry never crosses the wire (the decoded config is Off);
             // the restoring deployment re-arms via `enable_telemetry`.

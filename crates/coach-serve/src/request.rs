@@ -226,26 +226,6 @@ pub struct StatsReport {
     pub admission_p50_us: f64,
     /// P99 admission latency, microseconds (log-bucket resolution).
     pub admission_p99_us: f64,
-    /// Items sent over the sharded runtime's worker lanes (commands +
-    /// replies), cumulative across sessions. Zero for a single-shard
-    /// controller, whose inline pool has no lanes.
-    pub lane_sends: u64,
-    /// `send_batch` handoffs on those lanes — `lane_sends /
-    /// lane_batched_sends` is the mean burst the dispatcher delivered.
-    pub lane_batched_sends: u64,
-    /// Condvar wakeups the lanes actually issued: how often a handoff
-    /// found its peer parked instead of running
-    /// ([`coach_types::runtime::LaneStats::wakeups`]).
-    pub lane_wakeups: u64,
-    /// Producer stalls on a full command ring (backpressure events;
-    /// always zero on the unbounded mutex reference lane).
-    pub lane_full_stalls: u64,
-    /// Process-backed shard workers respawned after an unexpected death
-    /// (checkpoint + journal replay recoveries —
-    /// [`coach_types::runtime::ProcessPool::restarts`]). Always zero for
-    /// thread-backed workers. Telemetry only: recovery is exact, so this
-    /// never feeds [`StatsReport::to_packing_result`].
-    pub worker_restarts: u64,
 }
 
 impl StatsReport {

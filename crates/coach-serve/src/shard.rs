@@ -6,16 +6,15 @@
 //! hardware the dispatch overhead was paid thousands of times per replay.
 //! This version keeps the workers alive: at session start each shard's
 //! controller moves into a long-lived thread
-//! ([`coach_types::with_shard_workers_configured`]); the dispatcher then
-//! streams commands to it over a bounded lock-free SPSC ring lane (or the
-//! mutex reference lane, per [`ServeConfig::lanes`]) — routed-request
+//! ([`coach_types::with_shard_workers`]); the dispatcher then streams
+//! commands to it over a bounded lock-free SPSC ring lane — routed-request
 //! segments interleaved with broadcast/barrier tokens — and collects FIFO
 //! replies. Workers chew on segment *k* while the dispatcher routes
 //! segment *k + 1*; a barrier hands each shard its staged segment *and*
 //! the token in one `send_batch` burst, so it costs at most one worker
 //! wakeup per lane instead of a join + respawn. Every lane exports
 //! telemetry (sends, batched handoffs, wakeups, full-ring stalls) through
-//! [`StatsReport`] and [`ShardedController::lane_totals`].
+//! [`ShardedController::lane_totals`] and the telemetry registry.
 //!
 //! Ordering and exactness are unchanged from the fork-join version:
 //!
@@ -199,10 +198,7 @@ pub struct ShardedController<'a> {
     /// stats cadence pays O(new deltas) per query instead of re-merging
     /// from t = 0.
     peak: PeakMerge,
-    /// Command-lane implementation for worker sessions.
-    lanes: LaneKind,
-    /// Lane telemetry accumulated from completed sessions (the open
-    /// session's live counters are added on top at merge time).
+    /// Lane telemetry accumulated from completed sessions.
     lane_base: LaneStats,
     /// Deployment-wide metrics registry + dispatcher span ring, `None`
     /// when [`ServeConfig::telemetry`] is `Off`. Thread-backed shards
@@ -238,12 +234,6 @@ impl<'a> ShardedController<'a> {
             groups[i % shard_count].push((*cluster).clone());
             route.push((cluster.id, (i % shard_count) as u32));
         }
-        let config = ServeConfig {
-            // Shard-local peaks cannot be summed; the delta timelines are
-            // merged instead.
-            occupancy_timeline: true,
-            ..config
-        };
         // Constructed un-armed, then re-armed below onto the deployment's
         // shared registry (so per-shard construction never registers a
         // private registry that would immediately be thrown away).
@@ -253,11 +243,15 @@ impl<'a> ShardedController<'a> {
         };
         let mut shards: Vec<Controller<'a>> = groups
             .into_iter()
-            .map(|group| Controller::new(&group, predictor, shard_config))
+            .map(|group| {
+                let mut shard = Controller::new(&group, predictor, shard_config);
+                shard.arm_timeline();
+                shard
+            })
             .collect();
         let telemetry = (!config.telemetry.is_off()).then(|| {
             let origin = Instant::now();
-            let t = ShardTelemetry::new(config.telemetry, shards.len(), config.lanes, origin);
+            let t = ShardTelemetry::new(config.telemetry, shards.len(), origin);
             for (shard, controller) in shards.iter_mut().enumerate() {
                 controller.enable_telemetry(
                     config.telemetry,
@@ -271,7 +265,6 @@ impl<'a> ShardedController<'a> {
         ShardedController {
             timelines: vec![Vec::new(); shards.len()],
             peak: PeakMerge::new(shards.len()),
-            lanes: config.lanes,
             lane_base: LaneStats::default(),
             telemetry,
             predictor,
@@ -335,37 +328,33 @@ impl<'a> ShardedController<'a> {
             horizon,
             timelines,
             peak,
-            lanes,
             lane_base,
             telemetry,
             ..
         } = self;
         let n = shards.len();
         let owned = std::mem::take(shards);
-        let session_base = *lane_base;
         let spans = telemetry.as_deref_mut().and_then(|t| t.spans.as_mut());
-        let (owned, (out, session_lanes)) =
-            with_shard_workers_configured(*lanes, owned, worker_step, |workers| {
-                let mut dispatcher = Dispatcher {
-                    link: Link::Threads(workers),
-                    route,
-                    timelines,
-                    peak,
-                    pending: (0..n).map(|_| Vec::new()).collect(),
-                    pending_owned: (0..n).map(|_| Vec::new()).collect(),
-                    stream_records: 0,
-                    stream_segments: 0,
-                    log: Vec::new(),
-                    next_idx: 0,
-                    collect,
-                    label,
-                    horizon: *horizon,
-                    lane_base: session_base,
-                    spans,
-                };
-                let out = body(&mut dispatcher);
-                (out, dispatcher.link.lane_stats())
-            });
+        let (owned, (out, session_lanes)) = with_shard_workers(owned, worker_step, |workers| {
+            let mut dispatcher = Dispatcher {
+                link: Link::Threads(workers),
+                route,
+                timelines,
+                peak,
+                pending: (0..n).map(|_| Vec::new()).collect(),
+                pending_owned: (0..n).map(|_| Vec::new()).collect(),
+                stream_records: 0,
+                stream_segments: 0,
+                log: Vec::new(),
+                next_idx: 0,
+                collect,
+                label,
+                horizon: *horizon,
+                spans,
+            };
+            let out = body(&mut dispatcher);
+            (out, dispatcher.link.lane_stats())
+        });
         *shards = owned;
         lane_base.merge(&session_lanes);
         self.sync_session_telemetry();
@@ -390,14 +379,12 @@ impl<'a> ShardedController<'a> {
                 horizon,
                 timelines,
                 peak,
-                lane_base,
                 process,
                 telemetry,
                 ..
             } = self;
             let pool = process.as_mut().expect("process pool spawned above");
             let n = pool.len();
-            let session_base = *lane_base;
             let (spans, wire) = match telemetry.as_deref_mut() {
                 Some(t) => (t.spans.as_mut(), Some(t.wire.clone())),
                 None => (None, None),
@@ -416,7 +403,6 @@ impl<'a> ShardedController<'a> {
                 collect,
                 label,
                 horizon: *horizon,
-                lane_base: session_base,
                 spans,
             };
             body(&mut dispatcher)
@@ -623,8 +609,8 @@ impl<'a> ShardedController<'a> {
     }
 
     /// Checkpoint-recovery respawns the process backend has performed so
-    /// far (always zero under [`WorkerBackend::Thread`]). Also surfaced as
-    /// [`StatsReport::worker_restarts`] on every merged report.
+    /// far (always zero under [`WorkerBackend::Thread`]). Also mirrored
+    /// into the `coach_serve_worker_restarts_total` registry counter.
     pub fn worker_restarts(&self) -> u64 {
         self.process.as_ref().map_or(0, |pool| pool.restarts())
     }
@@ -728,8 +714,9 @@ impl<'a> ShardedController<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range, or on a semantically
-    /// inconsistent dump (see [`Controller::restore`]).
+    /// Panics if `shard` is out of range. A corrupt or inconsistent
+    /// snapshot is an `Err` (see [`Controller::restore`]) and leaves the
+    /// shard untouched.
     pub fn resume_shard(
         &mut self,
         shard: usize,
@@ -741,6 +728,7 @@ impl<'a> ShardedController<'a> {
         // parent copy authoritative for the next pool spawn).
         let t0 = Instant::now();
         self.shards[shard] = Controller::restore(self.predictor, snapshot, resolve)?;
+        self.shards[shard].arm_timeline();
         if let Some(t) = self.telemetry.as_deref() {
             let secs = t0.elapsed().as_secs_f64();
             if secs > 0.0 {
@@ -818,8 +806,10 @@ fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd)
             Vec::leak(snapshot.records().expect("decode checkpoint record table"));
         let table: HashMap<VmId, &'static VmRecord> =
             records.iter().map(|rec| (rec.id, rec)).collect();
-        let controller = Controller::restore(predictor, &snapshot, |vm| table.get(&vm).copied())
-            .expect("restore controller from checkpoint frame");
+        let mut controller =
+            Controller::restore(predictor, &snapshot, |vm| table.get(&vm).copied())
+                .expect("restore controller from checkpoint frame");
+        controller.arm_timeline();
         *state = Some(controller);
         return WireReply::InitOk;
     }
@@ -1008,13 +998,6 @@ impl<'a> Link<'_, '_, 'a> {
             Link::Process(..) => LaneStats::default(),
         }
     }
-
-    fn restarts(&self) -> u64 {
-        match self {
-            Link::Threads(_) => 0,
-            Link::Process(pool, _) => pool.restarts(),
-        }
-    }
 }
 
 /// Encode one thread-backend command as its process-backend frame.
@@ -1068,9 +1051,6 @@ struct Dispatcher<'s, 'pool, 'a> {
     collect: bool,
     label: &'static str,
     horizon: Timestamp,
-    /// Lane telemetry from sessions before this one; a stats merge adds
-    /// the live pool's counters on top.
-    lane_base: LaneStats,
     /// Barrier spans (`TelemetryConfig::Full` only): staging, drains, and
     /// merges record into the deployment's dispatcher ring.
     spans: Option<&'s mut SpanRing>,
@@ -1358,18 +1338,6 @@ impl<'a> Dispatcher<'_, '_, 'a> {
         merged.peak_servers_in_use = self.peak.peak_with_tail(self.timelines);
         merged.admission_p50_us = latency.quantile_us(0.50);
         merged.admission_p99_us = latency.quantile_us(0.99);
-        // Lane telemetry: completed sessions plus the live pool. Pure
-        // observability — never part of the bit-identity contract (wakeup
-        // counts depend on scheduling).
-        let mut lanes = self.lane_base;
-        lanes.merge(&self.link.lane_stats());
-        merged.lane_sends = lanes.sends;
-        merged.lane_batched_sends = lanes.batched_sends;
-        merged.lane_wakeups = lanes.wakeups;
-        merged.lane_full_stalls = lanes.full_stalls;
-        // Checkpoint-recovery respawns (process backend only). Telemetry:
-        // recovery is exact, so this never changes a decision.
-        merged.worker_restarts = self.link.restarts();
         self.end_span("dispatch.merge", span);
         merged
     }

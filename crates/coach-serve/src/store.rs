@@ -19,6 +19,7 @@
 
 use coach_sched::VmDemand;
 use coach_types::prelude::*;
+use coach_wire::WireError;
 use std::collections::HashMap;
 
 /// A generational reference to a slot in a [`ResidentStore`].
@@ -201,36 +202,61 @@ impl ResidentStore {
     /// Rebuild a store from dumped columns. The id index is derived, not
     /// dumped: a slot is occupied exactly while its generation is odd.
     ///
-    /// # Panics
-    ///
-    /// Panics if the columns disagree on length or a VM id appears in two
-    /// occupied slots (a corrupt or hand-forged dump).
-    pub(crate) fn from_dump(dump: StoreDump) -> ResidentStore {
+    /// A corrupt or hand-forged dump is a [`WireError::Invalid`]: columns
+    /// that disagree on length, a VM id in two occupied slots, a resident
+    /// whose cluster index is not below `cluster_count` (its departure
+    /// would index past the controller's clusters), or a free list naming
+    /// a slot that is out of range, occupied, or already listed (the next
+    /// arrival would panic or overwrite a resident).
+    pub(crate) fn from_dump(
+        dump: StoreDump,
+        cluster_count: usize,
+    ) -> Result<ResidentStore, WireError> {
         let slots = dump.vm.len();
-        assert!(
-            dump.cluster.len() == slots
-                && dump.server.len() == slots
-                && dump.guaranteed.len() == slots
-                && dump.window_peak.len() == slots
-                && dump.generation.len() == slots,
-            "resident store dump columns disagree on length"
-        );
+        if [
+            dump.cluster.len(),
+            dump.server.len(),
+            dump.guaranteed.len(),
+            dump.window_peak.len(),
+            dump.generation.len(),
+        ]
+        .iter()
+        .any(|&len| len != slots)
+        {
+            return Err(WireError::Invalid {
+                context: "snapshot resident store columns",
+            });
+        }
         let mut by_id = HashMap::new();
         for (i, &generation) in dump.generation.iter().enumerate() {
             if generation % 2 == 1 {
+                if dump.cluster[i] as usize >= cluster_count {
+                    return Err(WireError::Invalid {
+                        context: "snapshot resident cluster",
+                    });
+                }
                 let handle = Handle {
                     index: i as u32,
                     generation,
                 };
-                let previous = by_id.insert(dump.vm[i], handle);
-                assert!(
-                    previous.is_none(),
-                    "VM {:?} occupies two resident slots",
-                    dump.vm[i]
-                );
+                if by_id.insert(dump.vm[i], handle).is_some() {
+                    return Err(WireError::Invalid {
+                        context: "snapshot resident store slots",
+                    });
+                }
             }
         }
-        ResidentStore {
+        let mut listed = vec![false; slots];
+        for &slot in &dump.free {
+            let i = slot as usize;
+            if i >= slots || dump.generation[i] % 2 == 1 || std::mem::replace(&mut listed[i], true)
+            {
+                return Err(WireError::Invalid {
+                    context: "snapshot resident store free list",
+                });
+            }
+        }
+        Ok(ResidentStore {
             vm: dump.vm,
             cluster: dump.cluster,
             server: dump.server,
@@ -239,7 +265,7 @@ impl ResidentStore {
             generation: dump.generation,
             free: dump.free,
             by_id,
-        }
+        })
     }
 
     fn row(&self, i: usize) -> Resident {
@@ -338,7 +364,7 @@ mod tests {
         let b = store.insert(VmId::new(2), 1, ServerId::new(2), &demand(2, 3.0));
         store.remove(a); // slot 0 freed; its columns keep stale values
 
-        let restored = ResidentStore::from_dump(store.dump());
+        let restored = ResidentStore::from_dump(store.dump(), 2).expect("consistent dump");
         assert_eq!(restored.len(), 1);
         assert_eq!(restored.get(b), store.get(b));
         assert_eq!(restored.get(a), None, "stale handle stays stale");
@@ -353,14 +379,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "occupies two resident slots")]
     fn conflicting_dump_rejected() {
         let mut store = ResidentStore::new();
         store.insert(VmId::new(1), 0, ServerId::new(1), &demand(1, 2.0));
         store.insert(VmId::new(2), 0, ServerId::new(2), &demand(2, 3.0));
         let mut dump = store.dump();
         dump.vm[1] = VmId::new(1); // forge a duplicate occupancy
-        ResidentStore::from_dump(dump);
+        assert!(matches!(
+            ResidentStore::from_dump(dump, 1),
+            Err(WireError::Invalid {
+                context: "snapshot resident store slots"
+            })
+        ));
     }
 
     #[test]

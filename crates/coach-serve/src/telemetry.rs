@@ -6,8 +6,7 @@
 //! process-backed shards run their own registry and ship drained deltas
 //! over `WireCmd::Telemetry` frames at barriers, which the parent
 //! [`Registry::merge`]s. Series are labeled by policy and
-//! shard (lane counters by lane kind), so both backends produce the same
-//! series set — asserted counter-for-counter by the telemetry tests.
+//! shard, so both backends produce the same series set — asserted counter-for-counter by the telemetry tests.
 //!
 //! Span naming convention: `<layer>.<event>`, dot-separated —
 //! `serve.admit` / `serve.depart` / `serve.tick` / `serve.probe` /
@@ -21,7 +20,7 @@ use coach_telemetry::{
     AtomicHistogram, Counter, Gauge, LabelValue, Registry, RegistrySnapshot, SpanRing, SpanStart,
     TelemetryConfig,
 };
-use coach_types::runtime::{LaneKind, LaneStats};
+use coach_types::runtime::LaneStats;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,28 +61,28 @@ pub mod metric {
         "coach_serve_span_drops_total",
         "Span events dropped on full rings (never blocks).",
     );
-    /// Lane items sent, migrated from `LaneStats::sends` (labels: lane).
+    /// Lane items sent, mirrored from `LaneStats::sends` (no labels).
     pub const LANE_SENDS: MetricId = MetricId::new(
         "coach_serve_lane_sends_total",
         "Items sent over sharded worker lanes.",
     );
-    /// Lane batched handoffs (labels: lane).
+    /// Lane batched handoffs (no labels).
     pub const LANE_BATCHED_SENDS: MetricId = MetricId::new(
         "coach_serve_lane_batched_sends_total",
         "send_batch handoffs on worker lanes.",
     );
-    /// Lane condvar wakeups (labels: lane).
+    /// Lane condvar wakeups (no labels).
     pub const LANE_WAKEUPS: MetricId = MetricId::new(
         "coach_serve_lane_wakeups_total",
         "Condvar wakeups issued by worker lanes.",
     );
-    /// Lane full-ring producer stalls (labels: lane).
+    /// Lane full-ring producer stalls (no labels).
     pub const LANE_FULL_STALLS: MetricId = MetricId::new(
         "coach_serve_lane_full_stalls_total",
         "Producer stalls on full lane rings (backpressure).",
     );
-    /// Process workers respawned — the first-class home of what
-    /// `StatsReport::worker_restarts` reports (no labels).
+    /// Process workers respawned, mirrored from
+    /// `ShardedController::worker_restarts` (no labels).
     pub const WORKER_RESTARTS: MetricId = MetricId::new(
         "coach_serve_worker_restarts_total",
         "Process shard workers respawned after an unexpected death.",
@@ -279,14 +278,6 @@ impl WireTelemetry {
     }
 }
 
-/// The registry label value for a lane implementation.
-pub(crate) fn lane_label(kind: LaneKind) -> &'static str {
-    match kind {
-        LaneKind::Ring => "ring",
-        LaneKind::MutexRef => "mutex",
-    }
-}
-
 /// The deployment-wide telemetry state a
 /// [`ShardedController`](crate::ShardedController) owns: the shared
 /// registry every thread-backed shard records into (and process deltas
@@ -300,10 +291,11 @@ pub(crate) struct ShardTelemetry {
     /// Barrier spans on the dispatcher thread (`Full` mode); its tid is
     /// `shard_count`, one past the shard rings'.
     pub(crate) spans: Option<SpanRing>,
-    lane_sends: Arc<Counter>,
-    lane_batched_sends: Arc<Counter>,
-    lane_wakeups: Arc<Counter>,
-    lane_full_stalls: Arc<Counter>,
+    /// The `LANE_*` registry counters.
+    sends: Arc<Counter>,
+    batched_sends: Arc<Counter>,
+    wakeups: Arc<Counter>,
+    full_stalls: Arc<Counter>,
     /// Lane totals already mirrored into the counters (the runtime exposes
     /// cumulative sums, the registry wants monotone increments).
     lanes_seen: LaneStats,
@@ -320,11 +312,9 @@ impl ShardTelemetry {
     pub(crate) fn new(
         mode: TelemetryConfig,
         shard_count: usize,
-        lanes: LaneKind,
         origin: Instant,
     ) -> Box<ShardTelemetry> {
         let registry = Arc::new(Registry::new());
-        let lane = [("lane", LabelValue::Str(lane_label(lanes)))];
         let tid = shard_count as u32;
         Box::new(ShardTelemetry {
             mode,
@@ -332,10 +322,10 @@ impl ShardTelemetry {
             spans: mode
                 .spans_enabled()
                 .then(|| SpanRing::with_origin(origin, tid, CONTROLLER_SPAN_CAPACITY)),
-            lane_sends: registry.counter(metric::LANE_SENDS, &lane),
-            lane_batched_sends: registry.counter(metric::LANE_BATCHED_SENDS, &lane),
-            lane_wakeups: registry.counter(metric::LANE_WAKEUPS, &lane),
-            lane_full_stalls: registry.counter(metric::LANE_FULL_STALLS, &lane),
+            sends: registry.counter(metric::LANE_SENDS, &[]),
+            batched_sends: registry.counter(metric::LANE_BATCHED_SENDS, &[]),
+            wakeups: registry.counter(metric::LANE_WAKEUPS, &[]),
+            full_stalls: registry.counter(metric::LANE_FULL_STALLS, &[]),
             lanes_seen: LaneStats::default(),
             span_drops: registry.counter(
                 metric::SPAN_DROPS,
@@ -355,16 +345,16 @@ impl ShardTelemetry {
     /// the dispatcher ring's overflow drops. Called once per session
     /// barrier, off the hot path.
     pub(crate) fn sync_session(&mut self, lanes: &LaneStats, restarts: u64, replay_ns: u64) {
-        self.lane_sends
+        self.sends
             .add(lanes.sends.saturating_sub(self.lanes_seen.sends));
-        self.lane_batched_sends.add(
+        self.batched_sends.add(
             lanes
                 .batched_sends
                 .saturating_sub(self.lanes_seen.batched_sends),
         );
-        self.lane_wakeups
+        self.wakeups
             .add(lanes.wakeups.saturating_sub(self.lanes_seen.wakeups));
-        self.lane_full_stalls.add(
+        self.full_stalls.add(
             lanes
                 .full_stalls
                 .saturating_sub(self.lanes_seen.full_stalls),

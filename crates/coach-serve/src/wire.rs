@@ -4,9 +4,9 @@
 //!
 //! Everything here rides the dependency-free [`coach_wire`] codec: frames
 //! are magic- and version-pinned, accumulated `f64`s travel as raw
-//! IEEE-754 bits, and decode never panics on malformed bytes (structural
-//! problems are [`WireError`]s; only *semantically* inconsistent dumps —
-//! which no honest snapshot produces — panic at restore time).
+//! IEEE-754 bits, and neither decode nor restore panics on malformed bytes:
+//! structural damage and semantically inconsistent dumps alike are
+//! [`WireError`]s.
 
 use crate::account::{AccountantDump, ServerAccountDump, VmEntryDump};
 use crate::controller::{ControllerDump, ServeConfig};
@@ -87,9 +87,7 @@ impl Encode for ServeConfig {
         self.horizon.encode(e);
         self.sample_every.encode(e);
         e.usize(self.latency_stride);
-        e.bool(self.occupancy_timeline);
         self.probe_mode.encode(e);
-        self.lanes.encode(e);
         self.backend.encode(e);
         // `telemetry` is deliberately NOT encoded: it is a pure-observability
         // runtime knob (decisions are bit-identical across modes), and
@@ -110,9 +108,7 @@ impl Decode for ServeConfig {
             horizon: Decode::decode(d)?,
             sample_every: Decode::decode(d)?,
             latency_stride: d.usize("ServeConfig latency_stride")?,
-            occupancy_timeline: d.bool("ServeConfig occupancy_timeline")?,
             probe_mode: Decode::decode(d)?,
-            lanes: Decode::decode(d)?,
             backend: Decode::decode(d)?,
             telemetry: TelemetryConfig::default(),
         })
@@ -138,11 +134,6 @@ impl Encode for StatsReport {
         e.u64(self.ticks);
         e.f64(self.admission_p50_us);
         e.f64(self.admission_p99_us);
-        e.u64(self.lane_sends);
-        e.u64(self.lane_batched_sends);
-        e.u64(self.lane_wakeups);
-        e.u64(self.lane_full_stalls);
-        e.u64(self.worker_restarts);
     }
 }
 
@@ -166,11 +157,6 @@ impl Decode for StatsReport {
             ticks: d.u64("StatsReport ticks")?,
             admission_p50_us: d.f64("StatsReport admission_p50_us")?,
             admission_p99_us: d.f64("StatsReport admission_p99_us")?,
-            lane_sends: d.u64("StatsReport lane_sends")?,
-            lane_batched_sends: d.u64("StatsReport lane_batched_sends")?,
-            lane_wakeups: d.u64("StatsReport lane_wakeups")?,
-            lane_full_stalls: d.u64("StatsReport lane_full_stalls")?,
-            worker_restarts: d.u64("StatsReport worker_restarts")?,
         })
     }
 }
@@ -751,7 +737,6 @@ mod tests {
             Timestamp::from_ticks(1_000_000),
         );
         config.backend = WorkerBackend::Process;
-        config.occupancy_timeline = true;
         let frame = seal_frame(&config);
         let back: ServeConfig = open_frame(&frame).expect("decode ServeConfig");
         assert_eq!(format!("{back:?}"), format!("{config:?}"));
@@ -766,53 +751,61 @@ mod tests {
         assert_eq!(back.telemetry, TelemetryConfig::Off);
     }
 
+    /// A mid-stream controller's decoded dump and the trace behind it —
+    /// the raw material the restore-rejection tests corrupt.
+    fn mid_stream_dump() -> (coach_trace::Trace, coach_sim::Oracle, ControllerDump) {
+        use crate::{Controller, RequestSource};
+
+        let trace = generate(&TraceConfig::small(37));
+        let oracle = coach_sim::Oracle::new(TimeWindows::paper_default());
+        let coach = PolicyConfig::paper_set().remove(2);
+        let dump = {
+            let mut controller = Controller::replaying(&trace, &oracle, coach, 0.6);
+            let requests: Vec<_> = RequestSource::replaying(&trace).collect();
+            for request in &requests[..requests.len() / 2] {
+                controller.handle(*request);
+            }
+            open_frame(controller.snapshot().bytes()).expect("decode ControllerDump")
+        };
+        (trace, oracle, dump)
+    }
+
+    /// Restore `dump` against the trace's records and return its error
+    /// context; panics if the restore succeeds.
+    fn restore_error(
+        trace: &coach_trace::Trace,
+        oracle: &coach_sim::Oracle,
+        dump: &ControllerDump,
+    ) -> &'static str {
+        use std::collections::HashMap;
+
+        let table: HashMap<VmId, &VmRecord> = trace.vms.iter().map(|r| (r.id, r)).collect();
+        let corrupt = Snapshot::from_bytes(seal_frame(dump));
+        match crate::Controller::restore(oracle, &corrupt, |vm| table.get(&vm).copied()) {
+            Err(WireError::Invalid { context }) => context,
+            Err(other) => panic!("expected an Invalid error, got {other}"),
+            Ok(_) => panic!("corrupt snapshot restored"),
+        }
+    }
+
     /// A structurally valid frame whose config carries a zero
     /// violation-sampling cadence is corrupt: restore must return a typed
     /// error instead of tripping the accountant's cadence assertion.
     #[test]
     fn restore_rejects_zero_sample_cadence() {
-        use crate::{Controller, RequestSource};
-        use std::collections::HashMap;
-
-        let trace = generate(&TraceConfig::small(37));
-        let oracle = coach_sim::Oracle::new(TimeWindows::paper_default());
-        let coach = PolicyConfig::paper_set().remove(2);
-        let mut controller = Controller::replaying(&trace, &oracle, coach, 0.6);
-        let requests: Vec<_> = RequestSource::replaying(&trace).collect();
-        for request in &requests[..requests.len() / 2] {
-            controller.handle(*request);
-        }
-        let mut dump: ControllerDump =
-            open_frame(controller.snapshot().bytes()).expect("decode ControllerDump");
+        let (trace, oracle, mut dump) = mid_stream_dump();
         dump.config.sample_every = SimDuration::ZERO;
-        let corrupt = Snapshot::from_bytes(seal_frame(&dump));
-        let table: HashMap<VmId, &VmRecord> = trace.vms.iter().map(|r| (r.id, r)).collect();
-        let restored = Controller::restore(&oracle, &corrupt, |vm| table.get(&vm).copied());
-        assert!(matches!(
-            restored.err(),
-            Some(WireError::Invalid {
-                context: "snapshot sample cadence"
-            })
-        ));
+        assert_eq!(
+            restore_error(&trace, &oracle, &dump),
+            "snapshot sample cadence"
+        );
     }
 
     /// A snapshot whose scheduler hosts one VM on two servers is corrupt:
     /// restore must return a typed error instead of panicking.
     #[test]
     fn restore_rejects_vm_hosted_on_two_servers() {
-        use crate::{Controller, RequestSource};
-        use std::collections::HashMap;
-
-        let trace = generate(&TraceConfig::small(37));
-        let oracle = coach_sim::Oracle::new(TimeWindows::paper_default());
-        let coach = PolicyConfig::paper_set().remove(2);
-        let mut controller = Controller::replaying(&trace, &oracle, coach, 0.6);
-        let requests: Vec<_> = RequestSource::replaying(&trace).collect();
-        for request in &requests[..requests.len() / 2] {
-            controller.handle(*request);
-        }
-        let mut dump: ControllerDump =
-            open_frame(controller.snapshot().bytes()).expect("decode ControllerDump");
+        let (trace, oracle, mut dump) = mid_stream_dump();
         let servers = dump
             .clusters
             .iter_mut()
@@ -821,15 +814,104 @@ mod tests {
             .expect("a cluster with a hosting first server");
         let hosted = servers[0].vms[0].clone();
         servers[1].vms.push(hosted);
-        let corrupt = Snapshot::from_bytes(seal_frame(&dump));
-        let table: HashMap<VmId, &VmRecord> = trace.vms.iter().map(|r| (r.id, r)).collect();
-        let restored = Controller::restore(&oracle, &corrupt, |vm| table.get(&vm).copied());
-        assert!(matches!(
-            restored.err(),
-            Some(WireError::Invalid {
-                context: "snapshot scheduler"
-            })
-        ));
+        assert_eq!(restore_error(&trace, &oracle, &dump), "snapshot scheduler");
+    }
+
+    /// A record the accountant references but `resolve` cannot produce.
+    #[test]
+    fn restore_rejects_unresolvable_record() {
+        let (mut trace, oracle, dump) = mid_stream_dump();
+        let referenced = dump
+            .accountant
+            .servers
+            .iter()
+            .flat_map(|s| s.pending.iter().chain(&s.resident))
+            .map(|e| e.vm)
+            .next()
+            .expect("the accountant references a VM");
+        trace.vms.retain(|r| r.id != referenced);
+        assert_eq!(
+            restore_error(&trace, &oracle, &dump),
+            "snapshot record reference"
+        );
+    }
+
+    /// An accountant dump that names one server twice.
+    #[test]
+    fn restore_rejects_repeated_accountant_server() {
+        let (trace, oracle, mut dump) = mid_stream_dump();
+        let first = dump.accountant.servers[0].clone();
+        dump.accountant.servers.push(first);
+        assert_eq!(
+            restore_error(&trace, &oracle, &dump),
+            "snapshot accountant server"
+        );
+    }
+
+    /// Resident-store columns of different lengths.
+    #[test]
+    fn restore_rejects_ragged_store_columns() {
+        let (trace, oracle, mut dump) = mid_stream_dump();
+        dump.store.server.pop();
+        assert_eq!(
+            restore_error(&trace, &oracle, &dump),
+            "snapshot resident store columns"
+        );
+    }
+
+    /// One VM in two occupied resident slots.
+    #[test]
+    fn restore_rejects_vm_in_two_resident_slots() {
+        let (trace, oracle, mut dump) = mid_stream_dump();
+        let occupied: Vec<usize> = (0..dump.store.vm.len())
+            .filter(|&i| dump.store.generation[i] % 2 == 1)
+            .collect();
+        assert!(occupied.len() > 1, "several residents at mid-stream");
+        dump.store.vm[occupied[1]] = dump.store.vm[occupied[0]];
+        assert_eq!(
+            restore_error(&trace, &oracle, &dump),
+            "snapshot resident store slots"
+        );
+    }
+
+    /// A resident whose cluster index is past the snapshot's clusters: its
+    /// departure would index out of bounds.
+    #[test]
+    fn restore_rejects_resident_in_unknown_cluster() {
+        let (trace, oracle, mut dump) = mid_stream_dump();
+        let occupied = (0..dump.store.vm.len())
+            .find(|&i| dump.store.generation[i] % 2 == 1)
+            .expect("a resident at mid-stream");
+        dump.store.cluster[occupied] = dump.clusters.len() as u32;
+        assert_eq!(
+            restore_error(&trace, &oracle, &dump),
+            "snapshot resident cluster"
+        );
+    }
+
+    /// A free-list slot that is out of range, occupied, or listed twice:
+    /// the next arrival would panic or overwrite a resident.
+    #[test]
+    fn restore_rejects_bad_free_list() {
+        let (trace, oracle, dump) = mid_stream_dump();
+        let slots = dump.store.vm.len() as u32;
+        let occupied = (0..slots)
+            .find(|&i| dump.store.generation[i as usize] % 2 == 1)
+            .expect("a resident at mid-stream");
+        let free = *dump
+            .store
+            .free
+            .first()
+            .expect("a recycled slot at mid-stream");
+        for bad in [slots, occupied, free] {
+            let mut forged = dump.clone();
+            forged.store.free.push(bad);
+            assert_eq!(
+                restore_error(&trace, &oracle, &forged),
+                "snapshot resident store free list",
+                "free slot {bad}"
+            );
+        }
     }
 
     #[test]
@@ -914,7 +996,7 @@ mod tests {
         let snapshot = ShardSnapshot {
             stats: StatsReport {
                 accepted: 5,
-                worker_restarts: 2,
+                admission_p99_us: 2.5,
                 ..StatsReport::default()
             },
             latency: LatencyHistogram::new(),
@@ -990,7 +1072,7 @@ mod tests {
         }
 
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/protocol_v2.bin");
+            .join("tests/fixtures/protocol_v3.bin");
         if std::env::var_os("COACH_WIRE_BLESS").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &stream).unwrap();
@@ -999,7 +1081,7 @@ mod tests {
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture: {e}"));
         assert_eq!(
             stream, fixture,
-            "protocol frame encoding drifted from the committed v2 fixture — \
+            "protocol frame encoding drifted from the committed v3 fixture — \
              this is a wire format change and needs a VERSION bump"
         );
 

@@ -8,7 +8,7 @@
 //! before any test logic.
 
 use coach_serve::{
-    serve_trace_sharded, Request, RequestSource, Response, ServeConfig, ShardedController, Snapshot,
+    serve_trace_sharded, Request, RequestSource, ServeConfig, ShardedController, Snapshot,
 };
 use coach_sim::{packing_experiment, Oracle, PolicyConfig};
 use coach_trace::{generate, Trace, TraceConfig, VmRecord};
@@ -70,8 +70,8 @@ fn thread_vs_process_identity() {
 
 /// SIGKILL a live worker between sessions: checkpoint recovery respawns it
 /// with its exact exported state, the stream finishes bit-identically to
-/// the uninterrupted replay, and the restart is visible in the merged
-/// stats report.
+/// the uninterrupted replay, and the restart is counted by
+/// `worker_restarts`.
 fn sigkill_recovery_is_exact() {
     let trace = generate(&TraceConfig {
         cluster_count: 4,
@@ -96,19 +96,12 @@ fn sigkill_recovery_is_exact() {
     assert!(status.success(), "kill -9 {pid}");
     std::thread::sleep(std::time::Duration::from_millis(100));
 
-    // Finish the stream, asking for a merged report on the way out.
-    let mut tail: Vec<Request> = requests[split..].to_vec();
-    tail.push(Request::Stats { now: trace.horizon });
-    let responses = controller.handle_batch(&tail);
-    let Some(Response::Stats(report)) = responses.last() else {
-        panic!("trailing stats request answered");
-    };
+    controller.handle_batch(&requests[split..]);
     assert!(
-        report.worker_restarts >= 1,
-        "merged report surfaces the recovery (got {})",
-        report.worker_restarts
+        controller.worker_restarts() >= 1,
+        "the recovery is counted (got {})",
+        controller.worker_restarts()
     );
-    assert!(controller.worker_restarts() >= 1);
     assert_ne!(
         controller.worker_pid(0),
         Some(pid),

@@ -164,15 +164,14 @@ fn restore_rejects_mismatched_or_corrupt_snapshots() {
         Some(WireError::Magic { .. })
     ));
 
-    // An unresolvable record reference is a caller bug and panics with a
-    // named VM (resolve returning None means the record table is stale).
-    let resolves_nothing = std::panic::catch_unwind(|| {
-        let _ = Controller::restore(&oracle, &snapshot, |_| None);
-    });
-    assert!(
-        resolves_nothing.is_err(),
-        "restore with an empty record table panics"
-    );
+    // An unresolvable record reference (resolve returning None means the
+    // record table is stale) is a typed error, not a panic.
+    assert!(matches!(
+        Controller::restore(&oracle, &snapshot, |_| None).err(),
+        Some(WireError::Invalid {
+            context: "snapshot record reference"
+        })
+    ));
 }
 
 /// Build a synthetic trace from raw (arrival, lifetime, size) triples —

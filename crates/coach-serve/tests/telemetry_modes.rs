@@ -107,13 +107,20 @@ fn registry_counters_match_stats_report() {
     // Ticks are broadcast: every shard absorbs every tick, the report
     // takes the max.
     assert_eq!(sum("coach_serve_ticks_total"), report.ticks * 2);
-    // Lane counters migrated from `LaneStats` mirror the report fields.
-    assert_eq!(sum("coach_serve_lane_sends_total"), report.lane_sends);
+    // Lane and restart counters mirror the controller's cumulative totals.
+    let lanes = controller.lane_totals();
+    assert!(lanes.sends > 0, "two shards run on lanes");
+    assert_eq!(sum("coach_serve_lane_sends_total"), lanes.sends);
     assert_eq!(
         sum("coach_serve_lane_batched_sends_total"),
-        report.lane_batched_sends
+        lanes.batched_sends
     );
-    assert_eq!(sum("coach_serve_worker_restarts_total"), 0);
+    assert_eq!(sum("coach_serve_lane_wakeups_total"), lanes.wakeups);
+    assert_eq!(sum("coach_serve_lane_full_stalls_total"), lanes.full_stalls);
+    assert_eq!(
+        sum("coach_serve_worker_restarts_total"),
+        controller.worker_restarts()
+    );
 }
 
 /// Full mode records spans and every export renders: Prometheus text with

@@ -41,8 +41,8 @@ use rand::SeedableRng;
 use coach_types::prelude::*;
 
 use crate::gen::{
-    build_clusters, draw_skeleton, draw_subscriptions, template_seed_for, GenScan,
-    PlacementMachine, Skeleton, Subscription, TraceConfig,
+    build_clusters, draw_skeleton, draw_subscriptions, template_seed_for, PlacementMachine,
+    Skeleton, Subscription, TraceConfig,
 };
 use crate::model::{Cluster, VmRecord};
 use crate::profile::BehaviorTemplate;
@@ -89,7 +89,6 @@ impl Bucket {
 #[derive(Debug, Clone)]
 pub struct StreamingTrace {
     config: TraceConfig,
-    scan: GenScan,
     /// Final clusters, server lists fully grown by the placement pass.
     clusters: Vec<Cluster>,
     buckets: Vec<Bucket>,
@@ -113,7 +112,6 @@ impl StreamingTrace {
     pub fn with_chunk_budget(config: &TraceConfig, chunk_budget: usize) -> Self {
         assert!(chunk_budget > 0, "chunk budget must be positive");
         assert!(config.vm_count > 0 && config.cluster_count > 0);
-        let scan = GenScan::Indexed;
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let subscriptions = draw_subscriptions(&mut rng, config);
         let rng0 = rng.clone();
@@ -179,13 +177,12 @@ impl StreamingTrace {
         // Placement pass: grow the final cluster server lists.
         let mut this = StreamingTrace {
             config: config.clone(),
-            scan,
             clusters: build_clusters(config.cluster_count),
             buckets,
             subscriptions,
             rng0,
         };
-        let mut machine = PlacementMachine::new(config.cluster_count, scan);
+        let mut machine = PlacementMachine::new(config.cluster_count);
         let buckets = this.buckets.clone();
         for bucket in &buckets {
             this.visit_bucket(bucket, |this, sk| {
@@ -235,7 +232,7 @@ impl StreamingTrace {
     pub fn records(&self) -> StreamingRecords<'_> {
         StreamingRecords {
             stream: self,
-            machine: PlacementMachine::new(self.config.cluster_count, self.scan),
+            machine: PlacementMachine::new(self.config.cluster_count),
             templates: HashMap::new(),
             bucket_idx: 0,
             mode: BucketMode::Done,

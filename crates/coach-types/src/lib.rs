@@ -52,8 +52,7 @@ pub use ids::{ClusterId, ServerId, SubscriptionId, VmId};
 pub use par::{available_threads, par_map, par_map_mut, par_map_threads};
 pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
 pub use runtime::{
-    lane_channel, ring_channel, serve_child_frames, spsc_channel, with_shard_workers,
-    with_shard_workers_configured, LaneKind, LaneReceiver, LaneSender, LaneStats, ProcessPool,
+    ring_channel, serve_child_frames, spsc_channel, with_shard_workers, LaneStats, ProcessPool,
     RingReceiver, RingSender, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
     DEFAULT_RING_CAPACITY,
 };
@@ -71,8 +70,7 @@ pub mod prelude {
     pub use crate::par::{available_threads, par_map, par_map_mut, par_map_threads};
     pub use crate::resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
     pub use crate::runtime::{
-        lane_channel, ring_channel, serve_child_frames, spsc_channel, with_shard_workers,
-        with_shard_workers_configured, LaneKind, LaneReceiver, LaneSender, LaneStats, ProcessPool,
+        ring_channel, serve_child_frames, spsc_channel, with_shard_workers, LaneStats, ProcessPool,
         RingReceiver, RingSender, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
         DEFAULT_RING_CAPACITY,
     };

@@ -20,23 +20,24 @@
 //!
 //! # Lane implementations
 //!
-//! The default command lane ([`LaneKind::Ring`]) is a dependency-free
-//! *bounded lock-free SPSC ring buffer*: a power-of-two slot array indexed
+//! Each command lane is a dependency-free *bounded lock-free SPSC ring
+//! buffer* ([`ring_channel`]): a power-of-two slot array indexed
 //! by cache-line-padded monotonic head/tail counters with Acquire/Release
 //! publication, so steady-state send/recv is a couple of atomic ops and no
 //! lock. A `Mutex` + `Condvar` pair exists purely as the **sleep/wake slow
 //! path**: the consumer spins briefly, then publishes a parked flag and
 //! waits; the producer only takes the lock to notify when it actually
 //! observes a parked peer — an empty→non-empty transition costs one wakeup,
-//! and a full segment delivered through [`LaneSender::send_batch`] /
-//! [`LaneReceiver::recv_batch`] amortizes that single wakeup across the
+//! and a full segment delivered through [`RingSender::send_batch`] /
+//! [`RingReceiver::recv_batch`] amortizes that single wakeup across the
 //! whole burst. A full ring applies *backpressure* (the producer parks
 //! until the consumer frees slots) instead of growing without bound.
 //!
-//! The original `Mutex<VecDeque>` channel is retained as
-//! [`LaneKind::MutexRef`] — the slow reference implementation the ring is
-//! differentially tested against (same role as the scheduler's
-//! `NaiveReference` scan), selectable end-to-end for A/B benchmarks.
+//! Each reply lane is the unbounded `Mutex<VecDeque>` channel
+//! ([`spsc_channel`]): callers may defer draining replies until a barrier,
+//! so a bounded reply lane could deadlock a worker against its own
+//! backpressure. The same channel is the trivially correct reference the
+//! ring is differentially tested and benchmarked against.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -50,7 +51,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 const SPIN: usize = 64;
 
 /// How many commands a shard worker drains per wakeup (see
-/// [`with_shard_workers_configured`]).
+/// [`with_shard_workers`]).
 const WORKER_BURST: usize = 32;
 
 /// Default ring capacity (slots) for worker command lanes. Must be a
@@ -73,7 +74,7 @@ pub struct LaneStats {
     pub wakeups: u64,
     /// Times a producer found the ring full and had to stall for the
     /// consumer (backpressure events; always 0 for the unbounded
-    /// [`LaneKind::MutexRef`] lane).
+    /// [`spsc_channel`] lane).
     pub full_stalls: u64,
 }
 
@@ -148,8 +149,8 @@ pub struct SpscReceiver<T> {
 }
 
 /// An unbounded single-producer single-consumer channel over
-/// `Mutex<VecDeque>` — the reference lane ([`LaneKind::MutexRef`]) the
-/// lock-free ring is differentially tested against.
+/// `Mutex<VecDeque>` — the shard runtime's reply lane, and the reference
+/// the lock-free ring is differentially tested against.
 ///
 /// Sends never block; [`SpscReceiver::recv`] blocks until an item arrives
 /// or the sender is dropped. Items arrive in send order — the property the
@@ -762,141 +763,13 @@ impl<T> Drop for RingReceiver<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Lane selection
-// ---------------------------------------------------------------------------
-
-/// Which SPSC lane implementation a worker pool (or benchmark) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneKind {
-    /// The bounded lock-free ring buffer (default, fast path).
-    #[default]
-    Ring,
-    /// The `Mutex<VecDeque>` + `Condvar` reference lane — unbounded,
-    /// trivially correct, kept for differential testing and A/B
-    /// benchmarks (`bench_serve --lanes mutex`).
-    MutexRef,
-}
-
-impl LaneKind {
-    /// Parse a CLI spelling (`"ring"` / `"mutex"`).
-    pub fn parse(s: &str) -> Option<LaneKind> {
-        match s {
-            "ring" => Some(LaneKind::Ring),
-            "mutex" | "mutex-ref" | "mutexref" => Some(LaneKind::MutexRef),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase label (inverse of [`LaneKind::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            LaneKind::Ring => "ring",
-            LaneKind::MutexRef => "mutex",
-        }
-    }
-}
-
-/// The sending half of a [`lane_channel`], dispatching to the selected
-/// implementation.
-pub enum LaneSender<T> {
-    /// Lock-free ring lane.
-    Ring(RingSender<T>),
-    /// Mutex reference lane.
-    MutexRef(SpscSender<T>),
-}
-
-/// The receiving half of a [`lane_channel`].
-pub enum LaneReceiver<T> {
-    /// Lock-free ring lane.
-    Ring(RingReceiver<T>),
-    /// Mutex reference lane.
-    MutexRef(SpscReceiver<T>),
-}
-
-/// An SPSC lane of the requested kind. `capacity` bounds the ring lane
-/// (rounded up to a power of two); the mutex lane is unbounded and
-/// ignores it.
-pub fn lane_channel<T>(kind: LaneKind, capacity: usize) -> (LaneSender<T>, LaneReceiver<T>) {
-    match kind {
-        LaneKind::Ring => {
-            let (tx, rx) = ring_channel(capacity);
-            (LaneSender::Ring(tx), LaneReceiver::Ring(rx))
-        }
-        LaneKind::MutexRef => {
-            let (tx, rx) = spsc_channel();
-            (LaneSender::MutexRef(tx), LaneReceiver::MutexRef(rx))
-        }
-    }
-}
-
-impl<T> LaneSender<T> {
-    /// Send one item (see [`RingSender::send`] / [`SpscSender::send`]).
-    pub fn send(&self, item: T) {
-        match self {
-            LaneSender::Ring(tx) => tx.send(item),
-            LaneSender::MutexRef(tx) => tx.send(item),
-        }
-    }
-
-    /// Send a batch with at most one wakeup per published chunk.
-    pub fn send_batch(&self, items: Vec<T>) {
-        match self {
-            LaneSender::Ring(tx) => tx.send_batch(items),
-            LaneSender::MutexRef(tx) => tx.send_batch(items),
-        }
-    }
-
-    /// Snapshot this lane's telemetry counters.
-    pub fn stats(&self) -> LaneStats {
-        match self {
-            LaneSender::Ring(tx) => tx.stats(),
-            LaneSender::MutexRef(tx) => tx.stats(),
-        }
-    }
-}
-
-impl<T> LaneReceiver<T> {
-    /// Block until the next item, or `None` once closed and drained.
-    pub fn recv(&self) -> Option<T> {
-        match self {
-            LaneReceiver::Ring(rx) => rx.recv(),
-            LaneReceiver::MutexRef(rx) => rx.recv(),
-        }
-    }
-
-    /// Move up to `max` items into `out`; `0` means closed and drained.
-    pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        match self {
-            LaneReceiver::Ring(rx) => rx.recv_batch(out, max),
-            LaneReceiver::MutexRef(rx) => rx.recv_batch(out, max),
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        match self {
-            LaneReceiver::Ring(rx) => rx.try_recv(),
-            LaneReceiver::MutexRef(rx) => rx.try_recv(),
-        }
-    }
-
-    /// Snapshot this lane's telemetry counters.
-    pub fn stats(&self) -> LaneStats {
-        match self {
-            LaneReceiver::Ring(rx) => rx.stats(),
-            LaneReceiver::MutexRef(rx) => rx.stats(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shard worker pool
 // ---------------------------------------------------------------------------
 
 /// Where shard workers execute: threads in this process, or child
 /// processes speaking length-prefixed `coach-wire` frames over pipes.
 ///
-/// The generic [`with_shard_workers_configured`] pool always runs
+/// The generic [`with_shard_workers`] pool always runs
 /// threads — its `Cmd`/`Res` types are arbitrary and cannot cross a
 /// process boundary. `Process` is honoured by dispatchers whose command
 /// vocabulary has a wire encoding (the `coach-serve` sharded controller):
@@ -936,7 +809,6 @@ impl WorkerBackend {
 /// per worker.
 ///
 /// With two or more shards each command lane is a bounded lock-free ring
-/// (or the mutex reference lane, per [`with_shard_workers_configured`])
 /// to a worker thread, and each reply lane an unbounded mutex lane back;
 /// with zero or one shard the pool degenerates to an inline executor
 /// (commands run on the caller's thread at [`send`](Self::send) time),
@@ -947,8 +819,8 @@ pub struct ShardWorkers<'pool, Cmd, Res> {
 
 enum Pool<'pool, Cmd, Res> {
     Threads {
-        senders: Vec<LaneSender<Cmd>>,
-        receivers: Vec<LaneReceiver<Res>>,
+        senders: Vec<RingSender<Cmd>>,
+        receivers: Vec<SpscReceiver<Res>>,
     },
     Inline {
         /// Runs the handler against the single shard's state.
@@ -1058,39 +930,21 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     }
 }
 
-/// Run `body` against a pool of persistent shard workers with default
-/// lanes (lock-free rings of [`DEFAULT_RING_CAPACITY`]). See
-/// [`with_shard_workers_configured`].
-pub fn with_shard_workers<T, Cmd, Res, R>(
-    states: Vec<T>,
-    handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
-    body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
-) -> (Vec<T>, R)
-where
-    T: Send,
-    Cmd: Send,
-    Res: Send,
-{
-    with_shard_workers_configured(LaneKind::default(), states, handler, body)
-}
-
 /// Run `body` against a pool of persistent shard workers, one long-lived
-/// thread per entry of `states`, whose command lanes are of kind `lanes`
-/// (each holding up to [`DEFAULT_RING_CAPACITY`] commands when it is a
-/// ring).
+/// thread per entry of `states`, whose command lanes are lock-free rings
+/// of [`DEFAULT_RING_CAPACITY`] commands.
 ///
 /// Each worker owns its state for the whole session: it drains command
 /// bursts from its lane (up to `WORKER_BURST` per wakeup), applies
 /// `handler(shard, &mut state, cmd)` to each, and sends the results back
 /// on its reply lane — so per-shard command order is execution order, and
 /// consecutive commands to the same shard never pay a thread spawn (or,
-/// with batched sends, more than one wakeup). When `body` returns, the command lanes close, the workers drain and
-/// exit, and the (mutated) states are returned alongside `body`'s result.
+/// with batched sends, more than one wakeup). When `body` returns, the
+/// command lanes close, the workers drain and exit, and the (mutated) states are returned alongside `body`'s result.
 ///
 /// A panic in `body` or any worker propagates to the caller (workers are
 /// joined either way).
-pub fn with_shard_workers_configured<T, Cmd, Res, R>(
-    lanes: LaneKind,
+pub fn with_shard_workers<T, Cmd, Res, R>(
     states: Vec<T>,
     handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
     body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
@@ -1128,13 +982,12 @@ where
             .into_iter()
             .enumerate()
             .map(|(shard, mut state)| {
-                let (cmd_tx, cmd_rx) = lane_channel::<Cmd>(lanes, DEFAULT_RING_CAPACITY);
+                let (cmd_tx, cmd_rx) = ring_channel::<Cmd>(DEFAULT_RING_CAPACITY);
                 // Replies ride the unbounded mutex lane: callers may
                 // defer draining replies until a barrier, and a bounded
                 // reply lane would let a slow drainer deadlock a worker
                 // against its own backpressure.
-                let (res_tx, res_rx) =
-                    lane_channel::<Res>(LaneKind::MutexRef, DEFAULT_RING_CAPACITY);
+                let (res_tx, res_rx) = spsc_channel::<Res>();
                 senders.push(cmd_tx);
                 receivers.push(res_rx);
                 scope.spawn(move || {
@@ -1522,11 +1375,16 @@ mod tests {
     #[test]
     fn spsc_fifo_and_close() {
         let (tx, rx) = spsc_channel::<u32>();
-        tx.send(1);
-        tx.send(2);
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
+        tx.send_batch(vec![1, 2, 3]);
+        tx.send(4);
+        let mut buf = Vec::new();
+        assert_eq!(rx.recv_batch(&mut buf, 2), 2);
+        assert_eq!(buf, vec![1, 2]);
+        assert_eq!(rx.try_recv(), Some(3));
+        assert_eq!(rx.recv(), Some(4));
         assert_eq!(rx.try_recv(), None);
+        let stats = tx.stats();
+        assert_eq!((stats.sends, stats.batched_sends), (4, 1));
         drop(tx);
         assert_eq!(rx.recv(), None);
     }
@@ -1666,36 +1524,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_kinds_parse_and_label() {
-        assert_eq!(LaneKind::parse("ring"), Some(LaneKind::Ring));
-        assert_eq!(LaneKind::parse("mutex"), Some(LaneKind::MutexRef));
-        assert_eq!(LaneKind::parse("bogus"), None);
-        for kind in [LaneKind::Ring, LaneKind::MutexRef] {
-            assert_eq!(LaneKind::parse(kind.label()), Some(kind));
-        }
-    }
-
-    #[test]
-    fn lane_channel_both_kinds_fifo() {
-        for kind in [LaneKind::Ring, LaneKind::MutexRef] {
-            let (tx, rx) = lane_channel::<u32>(kind, 8);
-            tx.send_batch(vec![1, 2, 3]);
-            tx.send(4);
-            let mut buf = Vec::new();
-            assert_eq!(rx.recv_batch(&mut buf, 2), 2);
-            assert_eq!(rx.recv(), Some(3));
-            assert_eq!(rx.try_recv(), Some(4));
-            assert_eq!(rx.try_recv(), None);
-            assert_eq!(buf, vec![1, 2]);
-            let stats = tx.stats();
-            assert_eq!(stats.sends, 4, "{kind:?}");
-            assert_eq!(stats.batched_sends, 1, "{kind:?}");
-            drop(tx);
-            assert_eq!(rx.recv(), None);
-        }
-    }
-
-    #[test]
     fn workers_preserve_per_shard_order() {
         let states: Vec<Vec<u32>> = vec![Vec::new(); 4];
         let (states, got) = with_shard_workers(
@@ -1725,30 +1553,6 @@ mod tests {
         assert!(got > 0);
         for log in &states {
             assert_eq!(*log, (0..50).collect::<Vec<u32>>(), "per-shard FIFO");
-        }
-    }
-
-    #[test]
-    fn workers_on_mutex_reference_lanes_match() {
-        let (states, ()) = with_shard_workers_configured(
-            LaneKind::MutexRef,
-            vec![Vec::new(); 3],
-            |_, log: &mut Vec<u32>, cmd: u32| log.push(cmd),
-            |workers| {
-                for round in 0..20 {
-                    for shard in 0..workers.len() {
-                        workers.send(shard, round);
-                    }
-                }
-                for _round in 0..20 {
-                    for shard in 0..workers.len() {
-                        workers.recv(shard);
-                    }
-                }
-            },
-        );
-        for log in &states {
-            assert_eq!(*log, (0..20).collect::<Vec<u32>>());
         }
     }
 

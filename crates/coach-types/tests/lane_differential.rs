@@ -1,31 +1,67 @@
 //! Differential property test: the lock-free ring lane against the
 //! `Mutex<VecDeque>` reference lane.
 //!
-//! Both lane kinds must deliver *exactly* the sent sequence, in order,
-//! under every mix of single sends, batched sends, batched receives,
+//! Both lanes must deliver *exactly* the sent sequence, in order, under
+//! every mix of single sends, batched sends, batched receives,
 //! capacity-crossing batches (forcing index wraparound and producer
 //! backpressure), and a sender dropped mid-stream. The ring's lock-free
 //! fast path earns its keep only if it is observationally identical to
 //! the trivially-correct mutex lane — same contract as the scheduler's
 //! `NaiveReference` scan.
 
-use coach_types::runtime::{lane_channel, LaneKind};
+use coach_types::runtime::{
+    ring_channel, spsc_channel, RingReceiver, RingSender, SpscReceiver, SpscSender,
+};
 use proptest::prelude::*;
 
-/// Drive one lane of `kind` end to end: a producer thread sends `items`
-/// chunked by the cycled `chunks` plan (chunk size 1 uses the scalar
-/// `send`, larger chunks use `send_batch`), then drops the sender
-/// (closing mid-stream from the consumer's perspective); the consumer
-/// drains with the cycled `maxes` plan (max 1 uses the scalar `recv`,
-/// larger maxes use `recv_batch`). Returns everything received in order.
+/// The sending half of either lane.
+trait Tx: Send {
+    fn send(&self, item: u16);
+    fn send_batch(&self, items: Vec<u16>);
+}
+
+/// The receiving half of either lane.
+trait Rx {
+    fn recv(&self) -> Option<u16>;
+    fn recv_batch(&self, out: &mut Vec<u16>, max: usize) -> usize;
+}
+
+macro_rules! lane_impls {
+    ($tx:ident, $rx:ident) => {
+        impl Tx for $tx<u16> {
+            fn send(&self, item: u16) {
+                $tx::send(self, item)
+            }
+            fn send_batch(&self, items: Vec<u16>) {
+                $tx::send_batch(self, items)
+            }
+        }
+        impl Rx for $rx<u16> {
+            fn recv(&self) -> Option<u16> {
+                $rx::recv(self)
+            }
+            fn recv_batch(&self, out: &mut Vec<u16>, max: usize) -> usize {
+                $rx::recv_batch(self, out, max)
+            }
+        }
+    };
+}
+
+lane_impls!(RingSender, RingReceiver);
+lane_impls!(SpscSender, SpscReceiver);
+
+/// Drive one lane end to end: a producer thread sends `items` chunked by
+/// the cycled `chunks` plan (chunk size 1 uses the scalar `send`, larger
+/// chunks use `send_batch`), then drops the sender (closing mid-stream
+/// from the consumer's perspective); the consumer drains with the cycled
+/// `maxes` plan (max 1 uses the scalar `recv`, larger maxes use
+/// `recv_batch`). Returns everything received in order.
 fn drive(
-    kind: LaneKind,
-    capacity: usize,
+    (tx, rx): (impl Tx, impl Rx),
     items: &[u16],
     chunks: &[usize],
     maxes: &[usize],
 ) -> Vec<u16> {
-    let (tx, rx) = lane_channel::<u16>(kind, capacity);
     std::thread::scope(|scope| {
         let mut pending = items.to_vec();
         scope.spawn(move || {
@@ -81,8 +117,8 @@ proptest! {
         let capacity = 1usize << cap_pow;
         // Close mid-stream: only a prefix is ever sent.
         let sent = &items[..cut.min(items.len())];
-        let ring = drive(LaneKind::Ring, capacity, sent, &chunks, &maxes);
-        let mutex = drive(LaneKind::MutexRef, capacity, sent, &chunks, &maxes);
+        let ring = drive(ring_channel(capacity), sent, &chunks, &maxes);
+        let mutex = drive(spsc_channel(), sent, &chunks, &maxes);
         prop_assert_eq!(&ring, &sent.to_vec());
         prop_assert_eq!(ring, mutex);
     }
@@ -90,8 +126,8 @@ proptest! {
 
 #[test]
 fn lane_differential_smoke_zero_and_tiny() {
-    for kind in [LaneKind::Ring, LaneKind::MutexRef] {
-        assert_eq!(drive(kind, 2, &[], &[1], &[1]), Vec::<u16>::new());
-        assert_eq!(drive(kind, 2, &[7], &[5], &[4]), vec![7]);
-    }
+    assert_eq!(drive(ring_channel(2), &[], &[1], &[1]), Vec::<u16>::new());
+    assert_eq!(drive(ring_channel(2), &[7], &[5], &[4]), vec![7]);
+    assert_eq!(drive(spsc_channel(), &[], &[1], &[1]), Vec::<u16>::new());
+    assert_eq!(drive(spsc_channel(), &[7], &[5], &[4]), vec![7]);
 }

@@ -65,7 +65,7 @@ pub use coach_workloads as workloads;
 
 /// One-stop imports for applications.
 ///
-/// # Eager → lazy demand derivation (PR 3 migration note)
+/// # Eager → lazy demand derivation (migration note)
 ///
 /// The demand pipeline is window-native and lazy. `VmRecord::series()` is
 /// gone: call [`coach_trace::VmRecord::window_stats`] (analytic, no
@@ -79,7 +79,7 @@ pub use coach_workloads as workloads;
 /// sources live behind [`coach_sim::Predictor`] (`Oracle`, `Model`,
 /// `NaiveReference`), which replaced the old `PredictionSource` enum.
 ///
-/// # Online serving (PR 4)
+/// # Online serving
 ///
 /// The prelude also re-exports the `coach-serve` control plane: stream
 /// [`Request`](coach_serve::Request)s through a
@@ -89,7 +89,7 @@ pub use coach_workloads as workloads;
 /// [`coach_sim::packing_experiment`] — and read occupancy/violation
 /// telemetry through [`StatsReport`](coach_serve::StatsReport).
 ///
-/// # Cold-path demand engine (PR 6 migration note)
+/// # Cold-path demand engine (migration note)
 ///
 /// Cold-path derivation (predicting at request time instead of from a
 /// pre-derived table) is now batched and arena-backed end to end:
@@ -115,32 +115,21 @@ pub use coach_workloads as workloads;
 ///   Nothing of the old map surface was public, so no caller changes are
 ///   required; new code addressing residents should hold `Handle`s.
 ///
-/// # Lock-free shard lanes (PR 7 migration note)
+/// # Lock-free shard lanes (migration note)
 ///
-/// The shard-worker lanes are no longer Mutex+Condvar deques by default:
-/// worker sessions now run on a bounded lock-free SPSC ring
+/// The shard-worker command lanes are no longer Mutex+Condvar deques:
+/// worker sessions run on a bounded lock-free SPSC ring
 /// ([`ring_channel`](coach_types::ring_channel), cache-padded indices,
 /// park/wake only on the empty→non-empty edge).
-/// [`spsc_channel`](coach_types::spsc_channel) still exists — it is the
-/// `MutexRef` reference lane that the differential suite pins the ring
-/// against — and [`lane_channel`](coach_types::lane_channel) picks either
-/// behind the unified [`LaneSender`](coach_types::LaneSender)/
-/// [`LaneReceiver`](coach_types::LaneReceiver) surface. Code that called
-/// `spsc_channel` directly keeps compiling; to opt a worker pool into a
-/// specific lane kind, call
-/// [`with_shard_workers_configured`](coach_types::with_shard_workers_configured)
-/// with a [`LaneKind`](coach_types::LaneKind) (the plain
-/// [`with_shard_workers`](coach_types::with_shard_workers) now defaults to
-/// the ring). At the serving layer,
-/// [`ServeConfig`](coach_serve::ServeConfig) grew `lanes:`
-/// [`LaneKind`](coach_types::LaneKind), which defaults to the old
-/// observable behavior decision-wise — lane kind never changes
-/// admissions, only throughput — and lane traffic shows up in
-/// [`StatsReport`](coach_serve::StatsReport)'s `lane_*` counters. (The
-/// CPU pinning of shard workers added alongside is gone, see *Leaner
-/// derive and worker runtime* below.)
+/// [`spsc_channel`](coach_types::spsc_channel) still exists — it carries
+/// the replies, and the differential suite pins the ring against it.
+/// Lane traffic is reported by
+/// [`ShardedController::lane_totals`](coach_serve::ShardedController::lane_totals)
+/// and the telemetry registry. (The selectable lane kind and the CPU
+/// pinning of shard workers added alongside are gone, see *Leaner derive
+/// and worker runtime* and *One implementation per job* below.)
 ///
-/// # Distributed control plane (PR 8 migration note)
+/// # Distributed control plane (migration note)
 ///
 /// Shard workers can now live in supervised child *processes* speaking
 /// the [`coach_wire`] framed protocol (`CWIR` magic, little-endian `u16`
@@ -154,8 +143,8 @@ pub use coach_workloads as workloads;
 ///   first thing in `main`, because the pool re-execs the current binary
 ///   as its workers. Child crashes — including SIGKILL — are recovered
 ///   from a per-session checkpoint plus a command journal,
-///   decision-exactly; recoveries are counted in
-///   [`StatsReport::worker_restarts`](coach_serve::StatsReport).
+///   decision-exactly; recoveries are counted by
+///   [`ShardedController::worker_restarts`](coach_serve::ShardedController::worker_restarts).
 /// * The process backend rebuilds the child's predictor from a
 ///   wire-serializable spec, so it requires an oracle-equivalent
 ///   predictor (the pre-derived warm table qualifies; a trained forest
@@ -172,7 +161,7 @@ pub use coach_workloads as workloads;
 ///   [`coach_wire::VERSION`] when the format changes; the golden-fixture
 ///   tests will insist.
 ///
-/// # Observability (PR 9 migration note)
+/// # Observability (migration note)
 ///
 /// The serving control plane is instrumented end to end by the
 /// dependency-free [`coach_telemetry`] crate:
@@ -186,7 +175,7 @@ pub use coach_workloads as workloads;
 ///   [`Registry`](coach_telemetry::Registry) via
 ///   [`ShardedController::telemetry_registry`](coach_serve::ShardedController::telemetry_registry):
 ///   atomic counters/gauges/log2-bucket histograms addressed by
-///   `coach_serve_*` series names with `shard`/`policy`/`lane` labels.
+///   `coach_serve_*` series names with `shard`/`policy` labels.
 ///   Under the process backend each child keeps a private registry and
 ///   ships drained deltas over a `coach-wire` frame at session barriers,
 ///   so the merged counters equal the thread backend's exactly. Exports:
@@ -199,7 +188,7 @@ pub use coach_workloads as workloads;
 ///   [`coach_telemetry::Histogram`] — same API, one implementation; code
 ///   that named it keeps compiling.
 ///
-/// # Streaming ingestion & the scenario catalog (PR 10 migration note)
+/// # Streaming ingestion & the scenario catalog (migration note)
 ///
 /// Traces no longer have to be materialized to be served:
 ///
@@ -256,17 +245,50 @@ pub use coach_workloads as workloads;
 ///   `ServeConfig::placement`, `ShardedController::workers_pinned` and
 ///   `ShardWorkers::workers_pinned` are removed. Drop the `placement:`
 ///   field from `ServeConfig` literals.
-/// * The worker-pool config struct is removed:
-///   [`with_shard_workers_configured`](coach_types::with_shard_workers_configured)
-///   now takes the [`LaneKind`](coach_types::LaneKind) directly, and ring
-///   lanes always hold
+/// * The worker-pool config struct is removed, and ring lanes always hold
 ///   [`DEFAULT_RING_CAPACITY`](coach_types::DEFAULT_RING_CAPACITY).
-/// * [`coach_wire::VERSION`] is 2, because `ServeConfig` travels inside
-///   every snapshot frame. Version-1 snapshots are rejected with
+/// * `coach_wire::VERSION` went to 2, because `ServeConfig` travels
+///   inside every snapshot frame.
+/// * [`Controller::restore`](coach_serve::Controller::restore) rejects a
+///   frame whose config has a zero violation-sampling cadence with
+///   `WireError::Invalid` instead of panicking.
+///
+/// # One implementation per job (migration note)
+///
+/// Each job now has one implementation in production code. Decisions,
+/// generated traces and predictions are unchanged.
+///
+/// * Trace generation. The generator's segment-tree first-fit index is
+///   gone, with `coach_trace::GenScan` and `coach_trace::generate_with`:
+///   call [`coach_trace::generate`]. The linear first-fit scan it kept is
+///   the reference the index was proven identical to, and it was faster
+///   on every measured configuration.
+/// * Worker lanes. `LaneKind`, `LaneSender`, `LaneReceiver`,
+///   `lane_channel` and `with_shard_workers_configured` are removed:
+///   [`with_shard_workers`](coach_types::with_shard_workers) always uses
+///   ring command lanes and mutex reply lanes. Code that compared the two
+///   calls [`ring_channel`](coach_types::ring_channel) and
+///   [`spsc_channel`](coach_types::spsc_channel) directly. Drop the
+///   `lanes:` field from `ServeConfig` literals, and the `--lanes` flag
+///   from `bench_serve` invocations. The lane registry counters lost
+///   their constant `lane` label.
+/// * Occupancy timelines. `ServeConfig::occupancy_timeline` is removed;
+///   sharded controllers arm their shards themselves. Drop the field from
+///   `ServeConfig` literals.
+/// * [`StatsReport`](coach_serve::StatsReport) carries decision state
+///   only. Read lane traffic from
+///   [`ShardedController::lane_totals`](coach_serve::ShardedController::lane_totals)
+///   and recoveries from
+///   [`ShardedController::worker_restarts`](coach_serve::ShardedController::worker_restarts)
+///   (or their registry series) instead of the removed `lane_*` and
+///   `worker_restarts` fields.
+/// * [`coach_wire::VERSION`] is 3. Version-2 snapshots are rejected with
 ///   [`WireError::Version`](coach_wire::WireError::Version).
-/// * [`Controller::restore`](coach_serve::Controller::restore) now
-///   rejects a frame whose config has a zero violation-sampling cadence
-///   with `WireError::Invalid` instead of panicking.
+/// * [`Controller::restore`](coach_serve::Controller::restore) no longer
+///   panics on an inconsistent snapshot. A record `resolve` cannot
+///   produce, an accountant server named twice, ragged resident-store
+///   columns, a VM in two resident slots and a bad free-list slot are all
+///   `WireError::Invalid`.
 pub mod prelude {
     pub use coach_core::{Coach, CoachConfig, CoachServer, CoachVm, VmRequest};
     pub use coach_serve::{
