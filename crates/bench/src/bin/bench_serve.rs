@@ -16,11 +16,16 @@
 //! * **serve** — the headline: single-shard admission-path throughput on
 //!   the full trace. The throughput floor applies here.
 //! * **probes** — the spare-capacity measurement microbench at the middle
-//!   paper probe point: the read-only incremental estimator first (the
-//!   schedulers are untouched), then the exhaustive pack/unpack fill on
-//!   the *same* state — counts must match exactly, and the speedup is a
-//!   floor-gated first-class metric, as is probes/s (probe VMs placed per
-//!   second of measurement work).
+//!   paper probe point, on schedulers replayed to that point: the
+//!   read-only estimator, `measure_probe_capacity` (the same fill plus its
+//!   write-back) and the place/remove reference loop it replaced, each on
+//!   the *same* state. Counts must match exactly, and the write-back must
+//!   leave the schedulers bit-identical to the reference loop
+//!   (`exhaustive_matches_reference`). `estimator_speedup` — reference
+//!   loop time over estimator time, the cost a probe paid before the
+//!   fill became a read — is floor-gated, as is probes/s (probe VMs
+//!   placed per second of measurement work). The `exhaustive` timings are
+//!   the reference loop's; `write_back` times `measure_probe_capacity`.
 //! * **cold / accounting** — cold-path demand derivation two ways: the
 //!   per-item inline oracle (trajectory only) and the batched segment
 //!   path (the dispatcher hands ≤1024-arrival segments to
@@ -36,7 +41,7 @@
 //! * **sharded** — the same stream through the persistent-worker
 //!   `ShardedController` (`--shards N`, default ≈ available cores), probe
 //!   mode from `--probe-mode` (default `differential`: every measurement
-//!   asserts estimator == exhaustive).
+//!   runs both entry points of the shared fill and asserts equal counts).
 //!   Exact integer agreement with single-shard is asserted and
 //!   per-shard-count throughput recorded — the CI scale-out matrix uploads
 //!   one JSON per shard count. Lane telemetry (sends, batched handoffs,
@@ -96,22 +101,23 @@
 //! pool re-execs this binary, so `main` routes children into the worker
 //! loop first thing).
 //!
-//! Exits non-zero with a `REGRESSION` marker if identity fails, the
-//! estimator diverges, or a floor is missed.
+//! Exits non-zero with a `REGRESSION` marker if identity fails, a probe
+//! fill diverges from the reference loop, or a floor is missed.
 
 use coach_bench::alloc;
 use coach_predict::DemandPrediction;
-use coach_sched::VmDemand;
+use coach_sched::{ClusterScheduler, PlacementHeuristic, PlacementOutcome, VmDemand};
 use coach_serve::scenario::{sku_mix, stream_arrivals, Evacuate, GroupFailure, Surge};
 use coach_serve::{
-    serve_trace, Controller, Request, RequestSource, ServeConfig, ShardedController, StreamRequest,
+    serve_trace, Controller, RequestSource, ServeConfig, ShardedController, StreamRequest,
     StreamSource, TelemetryConfig,
 };
 use coach_sim::{
-    packing_experiment, paper_probe_times, Oracle, PolicyConfig, Predictor, ProbeMode,
+    estimate_probe_capacity, measure_probe_capacity, packing_experiment, paper_probe_times,
+    probe_demand, Oracle, PolicyConfig, Predictor, ProbeMode,
 };
 use coach_telemetry::chrome_trace;
-use coach_trace::{generate, StreamingTrace, Trace, TraceConfig, VmRecord};
+use coach_trace::{generate, Cluster, StreamingTrace, Trace, TraceConfig, VmRecord};
 use coach_types::prelude::*;
 use std::time::Instant;
 
@@ -241,14 +247,82 @@ fn run_with_telemetry(
     (start.elapsed().as_secs_f64().max(1e-9), result)
 }
 
-/// The probe microbench: advance a controller to the middle paper probe
-/// point, then measure the estimator (read-only, so repeatable on pristine
-/// state) and the exhaustive fill on the same state.
+/// The probe microbench at the middle paper probe point, on one BestFit
+/// scheduler per cluster replayed to that point in the batch experiment's
+/// event order. On clones of that state it times the read-only estimator
+/// (repeatable on one state) and the place-then-remove reference loop
+/// ([`reference_fill`]), and checks that `measure_probe_capacity` (the same
+/// fill plus its write-back) leaves every scheduler exactly as the
+/// reference loop does.
 struct ProbeBench {
     capacity: u64,
+    /// Estimator, write-back and reference loop return the same count.
     matches: bool,
+    /// `measure_probe_capacity` leaves every scheduler equal to the
+    /// reference loop's, float sums bit for bit.
+    exhaustive_matches_reference: bool,
     estimated_wall_s: f64,
+    /// The reference loop's time per measurement.
     exhaustive_wall_s: f64,
+    /// `measure_probe_capacity`'s time per measurement.
+    write_back_wall_s: f64,
+}
+
+/// The place-then-remove probe fill that `measure_probe_capacity` replaced:
+/// greedily place rotating probes into each scheduler until `windows`
+/// consecutive rejections, count them, and remove them again.
+fn reference_fill(schedulers: &mut [ClusterScheduler], templates: &[VmDemand]) -> u64 {
+    let windows = templates.len();
+    let mut placed_ids: Vec<VmId> = Vec::new();
+    let mut count = 0u64;
+    let mut next_id = 1u64 << 40;
+    for sched in schedulers {
+        let mut consecutive_rejections = 0usize;
+        let mut rotation = 0usize;
+        while consecutive_rejections < windows {
+            let mut demand = templates[rotation].clone();
+            demand.vm = VmId::new(next_id);
+            match sched.place(demand) {
+                PlacementOutcome::Placed(_) => {
+                    placed_ids.push(VmId::new(next_id));
+                    count += 1;
+                    consecutive_rejections = 0;
+                }
+                PlacementOutcome::Rejected => consecutive_rejections += 1,
+            }
+            next_id += 1;
+            rotation = (rotation + 1) % windows;
+        }
+        for &vm in &placed_ids {
+            sched.remove(vm);
+        }
+        placed_ids.clear();
+    }
+    count
+}
+
+/// Equal schedulers whose dumped sums also agree bit for bit (`==` on
+/// `f64` would equate `0.0` and `-0.0`; `Debug` round-trips every bit of a
+/// non-NaN float).
+fn same_state(a: &[ClusterScheduler], b: &[ClusterScheduler]) -> bool {
+    let sums = |s: &ClusterScheduler| {
+        s.dump()
+            .servers
+            .iter()
+            .map(|d| {
+                format!(
+                    "{:?}",
+                    (
+                        d.guaranteed_sum,
+                        &d.window_sum,
+                        &d.va_mem_sum,
+                        d.va_peak_mem_sum
+                    )
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    a == b && a.iter().zip(b).all(|(x, y)| sums(x) == sums(y))
 }
 
 fn probe_bench(
@@ -257,55 +331,86 @@ fn probe_bench(
     policy: PolicyConfig,
     fraction: f64,
 ) -> ProbeBench {
-    let mut config = ServeConfig::replaying(policy, fraction, trace.horizon);
-    config.sample_every = trace.horizon.since(Timestamp::ZERO);
-    config.probe_mode = ProbeMode::Estimated;
-    let mut controller = Controller::new(&trace.clusters, predictor, config);
+    let windows = predictor.time_windows().count();
+    let mut clusters: Vec<&Cluster> = trace.clusters.iter().collect();
+    clusters.sort_by_key(|c| c.id);
+    let mut scheds: Vec<ClusterScheduler> = clusters
+        .iter()
+        .map(|c| {
+            let n = ((c.servers.len() as f64 * fraction).ceil() as usize).max(1);
+            let ids: Vec<ServerId> = c.servers.iter().copied().take(n).collect();
+            ClusterScheduler::new(
+                &ids,
+                c.hardware.capacity,
+                windows,
+                PlacementHeuristic::BestFit,
+            )
+        })
+        .collect();
+    // (time, is arrival, trace index): departures sort first at equal
+    // times, and the probe sees every event strictly before it.
     let mid = paper_probe_times(trace.horizon)[1];
-    for request in RequestSource::new(&trace.vms, Vec::new()) {
-        if request.time() >= mid {
-            break;
+    let mut events: Vec<(Timestamp, bool, usize)> = trace
+        .vms
+        .iter()
+        .enumerate()
+        .flat_map(|(i, vm)| [(vm.arrival, true, i), (vm.departure, false, i)])
+        .filter(|&(time, _, _)| time < mid)
+        .collect();
+    events.sort_unstable();
+    let mut placed = vec![false; trace.vms.len()];
+    for (_, arrival, i) in events {
+        let vm = &trace.vms[i];
+        let c = clusters
+            .binary_search_by_key(&vm.cluster, |c| c.id)
+            .expect("known cluster");
+        if arrival {
+            let prediction = predictor.predict(vm, policy.percentile);
+            let demand =
+                VmDemand::from_prediction(vm.id, vm.demand(), policy.policy, prediction.as_ref());
+            placed[i] = matches!(scheds[c].place(demand), PlacementOutcome::Placed(_));
+        } else if placed[i] {
+            scheds[c].remove(vm.id);
         }
-        controller.handle(request);
     }
+    let templates: Vec<VmDemand> = (0..windows)
+        .map(|rotation| probe_demand(0, policy.policy, policy.percentile, windows, rotation))
+        .collect();
 
-    // Estimator first: read-only, so every repetition sees the same state
-    // as the exhaustive fill below.
     let est_reps = 10u32;
     let t0 = Instant::now();
-    let mut counts = Vec::new();
-    for _ in 0..est_reps {
-        if let coach_serve::Response::ProbeCapacity(n) =
-            controller.handle(Request::Probe { now: mid })
-        {
-            counts.push(n);
-        }
-    }
+    let counts: Vec<u64> = (0..est_reps)
+        .map(|_| estimate_probe_capacity(scheds.iter(), &templates))
+        .collect();
     let estimated_wall_s = t0.elapsed().as_secs_f64() / est_reps as f64;
-    let estimated = counts[0];
-    let repeatable = counts.iter().all(|&c| c == estimated);
 
-    // Exhaustive on the very state the estimator read: the first
-    // measurement is the exact-match reference; later repetitions only
-    // feed the timing (each fill's add/remove can leave float dust).
-    controller.set_probe_mode(ProbeMode::Exhaustive);
-    let exh_reps = 3u32;
-    let t0 = Instant::now();
-    let mut exhaustive = None;
-    for _ in 0..exh_reps {
-        if let coach_serve::Response::ProbeCapacity(n) =
-            controller.handle(Request::Probe { now: mid })
-        {
-            exhaustive.get_or_insert(n);
+    // The reference loop and the write-back each run on a fresh clone of
+    // the state per repetition (clone time excluded); the first clone of
+    // each is kept for the comparison.
+    let reps = 3u32;
+    let timed = |fill: &dyn Fn(&mut [ClusterScheduler]) -> u64| {
+        let mut wall_s = 0.0;
+        let mut first = None;
+        for _ in 0..reps {
+            let mut clone = scheds.clone();
+            let t0 = Instant::now();
+            let count = fill(&mut clone);
+            wall_s += t0.elapsed().as_secs_f64();
+            first.get_or_insert((count, clone));
         }
-    }
-    let exhaustive_wall_s = t0.elapsed().as_secs_f64() / exh_reps as f64;
-    let exhaustive = exhaustive.expect("probe answered");
+        let (count, state) = first.expect("at least one repetition");
+        (count, state, wall_s / reps as f64)
+    };
+    let (reference, reference_state, exhaustive_wall_s) = timed(&|s| reference_fill(s, &templates));
+    let (measured, measured_state, write_back_wall_s) =
+        timed(&|s| measure_probe_capacity(s.iter_mut(), &templates));
     ProbeBench {
-        capacity: exhaustive,
-        matches: repeatable && estimated == exhaustive,
+        capacity: reference,
+        matches: counts.iter().all(|&c| c == reference) && measured == reference,
+        exhaustive_matches_reference: same_state(&measured_state, &reference_state),
         estimated_wall_s: estimated_wall_s.max(1e-9),
         exhaustive_wall_s: exhaustive_wall_s.max(1e-9),
+        write_back_wall_s: write_back_wall_s.max(1e-9),
     }
 }
 
@@ -814,8 +919,9 @@ fn main() {
     // regression (the per-item inline run is trajectory-only).
     const SERVE_COLD_FLOOR_QUICK: f64 = 20_000.0;
     const SERVE_COLD_FLOOR_FULL: f64 = 50_000.0;
-    // The probe estimator must stay well ahead of the exhaustive fill; the
-    // ratio is machine-independent enough to gate across modes.
+    // The probe fill must stay well ahead of the place/remove loop it
+    // replaced; the ratio is machine-independent enough to gate across
+    // modes.
     const ESTIMATOR_SPEEDUP_FLOOR_QUICK: f64 = 2.0;
     const ESTIMATOR_SPEEDUP_FLOOR_FULL: f64 = 4.0;
     // The ring lane must never lose to the mutex lane it replaced
@@ -935,24 +1041,28 @@ fn main() {
         serve.wall_s, serve.placed_per_s, serve.p50_us, serve.p99_us
     );
 
-    // --- Phase 4: the probe microbench — estimator vs exhaustive on the
-    // same mid-trace state. probes/s counts probe VM placements per second
-    // of measurement work.
-    eprintln!("bench_serve: probe capacity, estimator vs exhaustive fill...");
+    // --- Phase 4: the probe microbench — estimator and write-back vs the
+    // place/remove reference loop on the same mid-trace state. probes/s
+    // counts probe VM placements per second of measurement work.
+    eprintln!("bench_serve: probe capacity, estimator vs the place/remove reference loop...");
     let probes = probe_bench(&trace, &warm, coach, fraction);
     let estimator_speedup = probes.exhaustive_wall_s / probes.estimated_wall_s;
     let exhaustive_probes_per_s = probes.capacity as f64 / probes.exhaustive_wall_s;
     let estimated_probes_per_s = probes.capacity as f64 / probes.estimated_wall_s;
+    let write_back_probes_per_s = probes.capacity as f64 / probes.write_back_wall_s;
     eprintln!(
-        "bench_serve:   capacity {} | exhaustive {:.3}s ({:.0} probes/s) | \
-         estimator {:.4}s ({:.0} probes/s) | {:.1}x, matches: {}",
+        "bench_serve:   capacity {} | reference loop {:.3}s ({:.0} probes/s) | \
+         estimator {:.4}s ({:.0} probes/s) | {:.1}x | write-back {:.4}s, \
+         counts match: {}, state matches reference: {}",
         probes.capacity,
         probes.exhaustive_wall_s,
         exhaustive_probes_per_s,
         probes.estimated_wall_s,
         estimated_probes_per_s,
         estimator_speedup,
-        probes.matches
+        probes.write_back_wall_s,
+        probes.matches,
+        probes.exhaustive_matches_reference
     );
 
     // --- Phase 5: the full stream plus the three scheduled probes (the
@@ -1309,6 +1419,7 @@ fn main() {
         || !sharded_identical
         || !floor_met
         || !probes.matches
+        || !probes.exhaustive_matches_reference
         || !estimator_floor_met
         || !cold_matches
         || !cold_floor_met
@@ -1336,8 +1447,10 @@ fn main() {
          \"serve_floor\": {{\"placed_per_s_floor\": {floor:.0}, \
          \"placed_per_s_floor_quick\": {SERVE_FLOOR_QUICK:.0}, \"met\": {floor_met}}},\n  \
          \"probes\": {{\"capacity\": {p_cap}, \"estimator_matches_exhaustive\": {p_match}, \
+         \"exhaustive_matches_reference\": {p_ref_match}, \
          \"exhaustive\": {{\"wall_s_per_measurement\": {p_exh:.6}, \"probes_per_s\": {p_exh_rate:.0}}}, \
          \"estimated\": {{\"wall_s_per_measurement\": {p_est:.6}, \"probes_per_s\": {p_est_rate:.0}}}, \
+         \"write_back\": {{\"wall_s_per_measurement\": {p_wb:.6}, \"probes_per_s\": {p_wb_rate:.0}}}, \
          \"estimator_speedup\": {p_speedup:.2}, \
          \"estimator_speedup_floor\": {estimator_floor:.2}, \
          \"estimator_speedup_floor_quick\": {ESTIMATOR_SPEEDUP_FLOOR_QUICK:.2}, \
@@ -1402,6 +1515,9 @@ fn main() {
         serve = serve_stats_json(&serve),
         p_cap = probes.capacity,
         p_match = probes.matches,
+        p_ref_match = probes.exhaustive_matches_reference,
+        p_wb = probes.write_back_wall_s,
+        p_wb_rate = write_back_probes_per_s,
         p_exh = probes.exhaustive_wall_s,
         p_exh_rate = exhaustive_probes_per_s,
         p_est = probes.estimated_wall_s,
@@ -1447,7 +1563,13 @@ fn main() {
         );
     }
     if !probes.matches {
-        eprintln!("REGRESSION: probe estimator diverged from the exhaustive fill");
+        eprintln!("REGRESSION: probe counts of the estimator, the write-back fill and the reference loop differ");
+    }
+    if !probes.exhaustive_matches_reference {
+        eprintln!(
+            "REGRESSION: the write-back probe fill left the schedulers in another state \
+             than the place/remove reference loop"
+        );
     }
     if !estimator_floor_met {
         eprintln!(

@@ -284,6 +284,7 @@ fn required_flags(schema: &str) -> &'static [&'static str] {
             "identity.sharded_equals_single",
             "serve_floor.met",
             "probes.estimator_matches_exhaustive",
+            "probes.exhaustive_matches_reference",
             "probes.floor_met",
             "serve_cold_derive.batched.matches_per_item",
             "serve_cold_derive.met",
@@ -551,7 +552,8 @@ mod tests {
               "identity": {{"online_equals_batch": true, "sharded_equals_single": true}},
               "serve": {{"placed_per_s": {placed}}},
               "serve_floor": {{"placed_per_s_floor": {floor}, "placed_per_s_floor_quick": 30000, "met": true}},
-              "probes": {{"estimator_matches_exhaustive": true, "estimator_speedup": {speedup},
+              "probes": {{"estimator_matches_exhaustive": true,
+                          "exhaustive_matches_reference": true, "estimator_speedup": {speedup},
                           "estimator_speedup_floor": 4.0, "estimator_speedup_floor_quick": 2.0,
                           "floor_met": true}},
               "serve_cold_derive": {{"batched": {{"placed_per_s": {placed}, "matches_per_item": true}},
@@ -699,6 +701,20 @@ mod tests {
         assert!(gate(&committed, &diverged)
             .iter()
             .any(|v| v.what == "telemetry.decisions_identical"));
+    }
+
+    #[test]
+    fn gate_flags_probe_write_back_divergence() {
+        let committed = serve_doc(300_000.0, 100_000.0, 8.0, false);
+        let mut diverged = serve_doc(300_000.0, 100_000.0, 8.0, false);
+        set(
+            &mut diverged,
+            "probes.exhaustive_matches_reference",
+            Json::Bool(false),
+        );
+        assert!(gate(&committed, &diverged)
+            .iter()
+            .any(|v| v.what == "probes.exhaustive_matches_reference"));
     }
 
     #[test]

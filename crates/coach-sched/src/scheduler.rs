@@ -184,7 +184,7 @@ impl ClusterScheduler {
         self.scan
     }
 
-    /// The placement heuristic in use (the probe estimator replicates its
+    /// The placement heuristic in use (the probe fill replicates its
     /// candidate choice arithmetically).
     pub fn heuristic(&self) -> PlacementHeuristic {
         self.heuristic
@@ -323,6 +323,48 @@ impl ClusterScheduler {
             self.index.update(idx, &self.servers[idx]);
         }
         demand
+    }
+
+    /// Bring the scheduler to the state that placing a probe fill and then
+    /// removing it leaves, without placing or removing a VM. `fill` lists
+    /// the placed probes in order as `(server index, rotation)`, each probe
+    /// being `templates[rotation]`; `rejected` counts the fill's rejected
+    /// attempts.
+    ///
+    /// Only arithmetic survives such a round trip: every server's sums gain
+    /// each of its probes in fill order, then lose them in fill order under
+    /// [`ServerState::remove`]'s clamps, so the float residue and the
+    /// `(placed, rejected)` counters are exactly those of the place/remove
+    /// loop. `fill` must be a sequence the scheduler itself would have
+    /// placed (the probe fill's recorded winners); nothing is checked
+    /// against `can_fit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is not a server of this cluster, a rotation is
+    /// not an index of `templates`, or a template's window count is neither
+    /// 1 nor the servers'.
+    pub fn apply_probe_fill(
+        &mut self,
+        fill: &[(usize, usize)],
+        templates: &[VmDemand],
+        rejected: u64,
+    ) {
+        for &(i, rotation) in fill {
+            self.servers[i].add_sums(&templates[rotation]);
+        }
+        for &(i, rotation) in fill {
+            self.servers[i].sub_sums(&templates[rotation]);
+        }
+        let mut touched: Vec<usize> = fill.iter().map(|&(i, _)| i).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for i in touched {
+            self.servers[i].refresh_slack();
+            self.index.update(i, &self.servers[i]);
+        }
+        self.placed += fill.len() as u64;
+        self.rejected += rejected;
     }
 
     /// The server hosting a VM.

@@ -179,7 +179,7 @@ impl ServerState {
     }
 
     /// Recompute the cached min/max window-slack summaries from `window_sum`.
-    fn refresh_slack(&mut self) {
+    pub(crate) fn refresh_slack(&mut self) {
         let mut min = self.capacity - self.window_sum[0];
         let mut max = min;
         for sum in &self.window_sum[1..] {
@@ -205,10 +205,28 @@ impl ServerState {
         if self.vms.contains_key(&d.vm) || !self.can_fit(&d) {
             return Err(d);
         }
+        self.add_sums(&d);
+        self.refresh_slack();
+        self.vms.insert(d.vm, d);
+        Ok(())
+    }
+
+    /// Remove a VM, returning its demand record.
+    pub fn remove(&mut self, vm: VmId) -> Option<VmDemand> {
+        let d = self.vms.remove(&vm)?;
+        self.sub_sums(&d);
+        self.refresh_slack();
+        Some(d)
+    }
+
+    /// Add a demand to the commitment sums: the arithmetic of
+    /// [`ServerState::place`], without the feasibility check, the hosted-VM
+    /// map or the slack refresh.
+    pub(crate) fn add_sums(&mut self, d: &VmDemand) {
         self.guaranteed_sum += d.guaranteed;
         let guar_mem = d.guaranteed.memory();
         let mut va_peak = 0.0f64;
-        let broadcast = d.window_count() != self.windows;
+        let broadcast = self.check_windows(d);
         for (w, sum) in self.window_sum.iter_mut().enumerate() {
             let wd = if broadcast {
                 &d.window_max[0]
@@ -221,18 +239,16 @@ impl ServerState {
             va_peak = va_peak.max(va);
         }
         self.va_peak_mem_sum += va_peak;
-        self.refresh_slack();
-        self.vms.insert(d.vm, d);
-        Ok(())
     }
 
-    /// Remove a VM, returning its demand record.
-    pub fn remove(&mut self, vm: VmId) -> Option<VmDemand> {
-        let d = self.vms.remove(&vm)?;
+    /// Subtract a demand from the commitment sums, clamping each at zero:
+    /// the arithmetic of [`ServerState::remove`], without the hosted-VM map
+    /// or the slack refresh.
+    pub(crate) fn sub_sums(&mut self, d: &VmDemand) {
         self.guaranteed_sum -= d.guaranteed;
         let guar_mem = d.guaranteed.memory();
         let mut va_peak = 0.0f64;
-        let broadcast = d.window_count() != self.windows;
+        let broadcast = self.check_windows(d);
         for (w, sum) in self.window_sum.iter_mut().enumerate() {
             let wd = if broadcast {
                 &d.window_max[0]
@@ -248,8 +264,6 @@ impl ServerState {
         }
         self.guaranteed_sum = self.guaranteed_sum.max(&ResourceVec::ZERO);
         self.va_peak_mem_sum = (self.va_peak_mem_sum - va_peak).max(0.0);
-        self.refresh_slack();
-        Some(d)
     }
 
     /// Formula (3): total guaranteed memory, GB.
@@ -299,9 +313,10 @@ impl ServerState {
     /// commitment vectors [`ServerState::can_fit`] evaluates, maintained
     /// incrementally by [`ServerState::place`] / [`ServerState::remove`].
     ///
-    /// This is the scan unit of the incremental spare-capacity estimator
-    /// (`coach_sim::estimate_probe_capacity`): because the sums here are
-    /// the *same floats* `can_fit` adds the candidate demand to, a consumer
+    /// This is the scan unit of the probe fill
+    /// (`coach_sim::estimate_probe_capacity` and
+    /// `coach_sim::measure_probe_capacity`): because the sums here are the
+    /// *same floats* `can_fit` adds the candidate demand to, a consumer
     /// that copies them and replays placements arithmetically reproduces
     /// the scheduler's accept/reject decisions bit-for-bit — no probe VM
     /// ever has to be placed into (and unwound from) the real scheduler.

@@ -41,11 +41,12 @@ pub struct ServeConfig {
     /// Record admission latency for every `latency_stride`-th arrival (the
     /// clock reads would otherwise bias sub-microsecond placements).
     pub latency_stride: usize,
-    /// How [`Request::Probe`] measurements are produced: the exhaustive
-    /// pack/unpack fill (the batch replay's exact float trajectory), the
-    /// read-only incremental estimator over cached per-server summaries, or
-    /// both with an equality assertion
-    /// ([`ProbeMode::Differential`]).
+    /// How [`Request::Probe`] measurements are produced. All three run the
+    /// same fill over scratch copies of the per-server sums:
+    /// [`ProbeMode::Exhaustive`] then writes back the float residue a
+    /// place/remove round trip of the probes would leave (the batch
+    /// replay's exact trajectory), [`ProbeMode::Estimated`] only reads, and
+    /// [`ProbeMode::Differential`] runs both and asserts equal counts.
     pub probe_mode: ProbeMode,
     /// Where a sharded deployment's workers execute: in-process threads
     /// (default) or supervised child processes speaking `coach-wire`
@@ -78,9 +79,9 @@ impl ServeConfig {
             horizon,
             sample_every: VIOLATION_SAMPLE_EVERY,
             latency_stride: 8,
-            // Exhaustive keeps even the probe fill's add/remove float dust
-            // identical to the batch experiment; a deployment that doesn't
-            // need batch bit-identity should switch to `Estimated`.
+            // Exhaustive writes back the float residue the batch
+            // experiment's probes leave, so later decisions stay identical
+            // to it; `Estimated` skips that write-back.
             probe_mode: ProbeMode::Exhaustive,
             backend: WorkerBackend::Thread,
             telemetry: TelemetryConfig::Off,
@@ -329,7 +330,7 @@ impl<'a> Controller<'a> {
                         );
                         assert_eq!(
                             estimated, exhaustive,
-                            "probe estimator diverged from the exhaustive fill at {now:?}"
+                            "read-only and write-back probe counts differ at {now:?}"
                         );
                         exhaustive
                     }
@@ -727,7 +728,9 @@ impl<'a> Controller<'a> {
     /// record `resolve` cannot produce, an accountant that names a server
     /// twice, resident-store columns of different lengths, a VM in two
     /// resident slots, a resident in a cluster the snapshot does not have,
-    /// or a free-list slot that is out of range, occupied or listed twice.
+    /// a resident its cluster's scheduler does not host on its recorded
+    /// server, a hosted VM no resident names, or a free-list slot that is
+    /// out of range, occupied or listed twice.
     pub fn restore<'r>(
         predictor: &'a dyn Predictor,
         snapshot: &Snapshot,
@@ -789,6 +792,29 @@ impl<'a> Controller<'a> {
             })
             .collect::<Result<Vec<_>, WireError>>()?;
         let residents = ResidentStore::from_dump(dump.store, clusters.len())?;
+        // The store and the schedulers must name the same VMs: a resident
+        // its scheduler does not host would depart as a no-op `remove` and
+        // leave its VM placed forever, and a hosted VM without a resident
+        // would never depart at all.
+        let mut hosted = vec![0usize; clusters.len()];
+        for r in residents.residents() {
+            let cluster = r.cluster as usize;
+            if clusters[cluster].sched.server_of(r.vm) != Some(r.server) {
+                return Err(WireError::Invalid {
+                    context: "snapshot resident cluster",
+                });
+            }
+            hosted[cluster] += 1;
+        }
+        if clusters
+            .iter()
+            .zip(&hosted)
+            .any(|(c, &n)| c.sched.vm_count() != n)
+        {
+            return Err(WireError::Invalid {
+                context: "snapshot scheduler residents",
+            });
+        }
         Ok(Controller {
             accountant,
             config,

@@ -171,6 +171,13 @@ impl ResidentStore {
         Some(row)
     }
 
+    /// Every resident row, in slot order.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = Resident> + '_ {
+        (0..self.vm.len())
+            .filter(|&i| self.generation[i] % 2 == 1)
+            .map(|i| self.row(i))
+    }
+
     /// Elementwise sum of the guaranteed portions of every resident demand
     /// — one contiguous column fold, no per-VM chasing.
     pub fn guaranteed_total(&self) -> ResourceVec {

@@ -889,6 +889,39 @@ mod tests {
         );
     }
 
+    /// Residents that name another valid cluster than the one whose
+    /// scheduler hosts them: each departure would remove nothing and leave
+    /// its VM placed for good.
+    #[test]
+    fn restore_rejects_resident_in_the_wrong_cluster() {
+        let (trace, oracle, mut dump) = mid_stream_dump();
+        let clusters = dump.clusters.len() as u32;
+        assert_eq!(clusters, 3, "small traces have three clusters");
+        for c in &mut dump.store.cluster {
+            *c = (*c + 1) % clusters;
+        }
+        assert_eq!(
+            restore_error(&trace, &oracle, &dump),
+            "snapshot resident cluster"
+        );
+    }
+
+    /// A VM its scheduler hosts but the resident store has freed: it would
+    /// never depart.
+    #[test]
+    fn restore_rejects_hosted_vm_without_a_resident() {
+        let (trace, oracle, mut dump) = mid_stream_dump();
+        let occupied = (0..dump.store.vm.len())
+            .find(|&i| dump.store.generation[i] % 2 == 1)
+            .expect("a resident at mid-stream");
+        dump.store.generation[occupied] += 1;
+        dump.store.free.push(occupied as u32);
+        assert_eq!(
+            restore_error(&trace, &oracle, &dump),
+            "snapshot scheduler residents"
+        );
+    }
+
     /// A free-list slot that is out of range, occupied, or listed twice:
     /// the next arrival would panic or overwrite a resident.
     #[test]

@@ -168,10 +168,10 @@ fn batch_and_streaming_sessions_agree() {
     }
 }
 
-/// The probe estimator agrees with the exhaustive fill at every
-/// measurement of the differential replay (`ProbeMode::Differential`
-/// asserts equality inside the controller), and the replay stays
-/// bit-identical to the batch experiment.
+/// The read-only and write-back probe counts agree at every measurement
+/// of the differential replay (`ProbeMode::Differential` asserts equality
+/// inside the controller), and the replay stays bit-identical to the batch
+/// experiment.
 #[test]
 fn probe_estimator_matches_exhaustive_in_replay() {
     let oracle = Oracle::new(TimeWindows::paper_default());
@@ -195,8 +195,8 @@ fn probe_estimator_matches_exhaustive_in_replay() {
     }
 }
 
-/// Estimated-mode probes (read-only, no fill) report the same capacities
-/// as the exhaustive batch measurement.
+/// Estimated-mode probes (read-only, no write-back) report the same
+/// capacities as the batch measurement.
 #[test]
 fn estimated_probes_report_batch_capacities() {
     let trace = generate(&TraceConfig::small(707));

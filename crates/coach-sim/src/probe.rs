@@ -2,52 +2,55 @@
 //! measurement, shared by the batch replay and the online `coach-serve`
 //! controller.
 //!
-//! Two implementations produce the measurement:
+//! One greedy fill produces every measurement. It copies each server's
+//! [`ProbeSummary`](coach_sched::ProbeSummary) (the commitment sums the
+//! scheduler already maintains on every place/remove) into a scratch arena
+//! and packs probe VMs into the copies. Because the scratch holds the
+//! scheduler's exact floats, applies its exact `can_fit` predicate and
+//! follows its candidate order, the fill elects exactly the servers that
+//! placing the probes into the live scheduler would, in the same order.
+//! Monotonicity of the fill (slack only shrinks) lets it cache
+//! per-(server, rotation) infeasibility, so each server is fully checked
+//! against each rotation at most once after its last successful probe.
 //!
-//! * [`measure_probe_capacity`] — the exhaustive reference: greedily
-//!   **place** probe VMs into the real schedulers until nothing fits, count
-//!   them, then remove them all. Exact by definition, but every probe pays
-//!   full scheduler machinery (candidate index updates, VM bookkeeping,
-//!   demand clones) twice — once in, once out. At million-VM scale this is
-//!   the dominant per-measurement cost (~0.35 s on the reference trace).
-//! * [`estimate_probe_capacity`] — the incremental estimator: copy each
-//!   server's [`ProbeSummary`](coach_sched::ProbeSummary) (the commitment sums the scheduler already
-//!   maintains on every place/remove) into a scratch arena and replay the
-//!   *same* greedy fill arithmetically. Because the scratch holds the
-//!   scheduler's exact floats and applies the exact `can_fit` predicate and
-//!   BestFit ordering, the count is **bit-identical** to the exhaustive
-//!   fill — without mutating the scheduler at all (note the `&` vs `&mut`
-//!   iterator). Monotonicity of the fill (slack only shrinks) lets it cache
-//!   per-(server, rotation) infeasibility, so each server is fully checked
-//!   against each rotation at most once after its last successful probe.
+//! Two entry points use it:
 //!
-//! The equivalence is enforced three ways: unit tests on the edge cases
-//! (empty cluster, over-committed server, exact occupancy crossings), a
-//! proptest replaying random churn, and `ProbeMode::Differential` in
-//! `coach-serve`, which runs both on every measurement of the differential
-//! suite and asserts equality.
+//! * [`estimate_probe_capacity`] — a pure read (`&ClusterScheduler`):
+//!   returns the count and leaves the schedulers untouched.
+//! * [`measure_probe_capacity`] — the count plus the state a place-then-
+//!   remove round trip of every probe leaves behind. The fill records its
+//!   winners, and [`ClusterScheduler::apply_probe_fill`] writes back only
+//!   what such a round trip changes: the float residue in each touched
+//!   server's sums and the `placed`/`rejected` counters. This keeps the
+//!   online controller bit-identical to the batch replay, whose later
+//!   placements see that residue, without placing or removing a VM.
+//!
+//! The place/remove loop itself lives on only as a reference in
+//! `tests/probe_equivalence.rs`, which checks both entry points against it
+//! on edge cases, random churn, every short operation sequence over three
+//! servers and a trace replay at the paper's probe times.
 
-use coach_sched::{ClusterScheduler, PlacementHeuristic, PlacementOutcome, Policy, VmDemand};
+use coach_sched::{ClusterScheduler, PlacementHeuristic, Policy, VmDemand};
 use coach_types::prelude::*;
 
 /// How a serving-path probe measurement is produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeMode {
-    /// The exhaustive pack/unpack fill ([`measure_probe_capacity`]).
-    /// Mutates and restores the schedulers — matching the batch replay's
-    /// float trajectory exactly, which the bit-identity differential tests
-    /// rely on — and pays full scheduler cost per probe.
+    /// [`measure_probe_capacity`]: the fill plus a write-back of the float
+    /// residue and counters a place/remove round trip would leave, so the
+    /// state trajectory matches the batch replay's exactly (the
+    /// bit-identity differential tests rely on it). Costs the fill plus a
+    /// few additions per placed probe.
     #[default]
     Exhaustive,
-    /// The incremental estimator ([`estimate_probe_capacity`]): read-only,
-    /// scans the incrementally maintained per-server summaries. Produces
-    /// the same count; the schedulers are untouched (so the post-probe
-    /// floating-point state can differ from the exhaustive path's
-    /// add-then-remove dust by design).
+    /// [`estimate_probe_capacity`]: the same fill as a pure read. Produces
+    /// the same count; the schedulers are untouched, so later placements
+    /// see sums without the round trip's residue and can, at a
+    /// feasibility boundary, decide differently from the batch replay.
     Estimated,
     /// Run both, assert the counts agree, and keep the exhaustive result
-    /// (including its state trajectory). The mode the differential suite
-    /// runs under.
+    /// (including its state trajectory). The two share one fill routine,
+    /// so this checks the entry points, not two independent algorithms.
     Differential,
 }
 
@@ -101,8 +104,15 @@ pub fn probe_demand(
 }
 
 /// Fill every cluster's spare room with probe VMs (rotating peak windows,
-/// cloned from the memoized per-rotation templates), count them, and remove
-/// them again — the exhaustive reference measurement.
+/// the memoized per-rotation templates), count them, and leave each
+/// scheduler exactly as placing and then removing those probes would.
+///
+/// The fill runs over scratch copies of the servers' sums (the routine
+/// [`estimate_probe_capacity`] uses) and records its winners; the
+/// scheduler then replays only the arithmetic a place-then-remove round
+/// trip leaves behind ([`ClusterScheduler::apply_probe_fill`]): the float
+/// residue in each touched server's sums and the `placed`/`rejected`
+/// counters. No probe VM enters the scheduler's maps or its index.
 ///
 /// The per-cluster probe sequence is deterministic and clusters are
 /// independent, so the total is the same whatever order the schedulers are
@@ -112,38 +122,20 @@ pub fn measure_probe_capacity<'a>(
     schedulers: impl Iterator<Item = &'a mut ClusterScheduler>,
     templates: &[VmDemand],
 ) -> u64 {
-    let windows = templates.len();
-    let mut placed_ids: Vec<u64> = Vec::new();
+    let mut winners = Vec::new();
     let mut count = 0u64;
-    let mut next_id = 1u64 << 40;
     for sched in schedulers {
-        let mut consecutive_rejections = 0usize;
-        let mut rotation = 0usize;
-        while consecutive_rejections < windows {
-            let mut demand = templates[rotation].clone();
-            demand.vm = VmId::new(next_id);
-            match sched.place(demand) {
-                PlacementOutcome::Placed(_) => {
-                    placed_ids.push(next_id);
-                    count += 1;
-                    consecutive_rejections = 0;
-                }
-                PlacementOutcome::Rejected => consecutive_rejections += 1,
-            }
-            next_id += 1;
-            rotation = (rotation + 1) % windows;
-        }
-        // Remove this cluster's probes before moving on.
-        for &id in placed_ids.iter() {
-            sched.remove(VmId::new(id));
-        }
-        placed_ids.clear();
+        winners.clear();
+        let fill = fill_cluster(sched, templates, Some(&mut winners));
+        sched.apply_probe_fill(&winners, templates, fill.attempts - fill.placed);
+        count += fill.placed;
     }
     count
 }
 
-/// One server's scratch commitment state inside the estimator: a copy of
-/// its [`ProbeSummary`](coach_sched::ProbeSummary) floats that probe placements are applied to.
+/// One server's scratch commitment state inside the fill: a copy of its
+/// [`ProbeSummary`](coach_sched::ProbeSummary) floats that probe placements
+/// are applied to.
 struct Scratch {
     capacity: ResourceVec,
     guaranteed_sum: ResourceVec,
@@ -192,22 +184,19 @@ impl Scratch {
     }
 }
 
-/// Estimate spare probe capacity without touching the schedulers: scan the
-/// per-server [`ProbeSummary`](coach_sched::ProbeSummary)s into scratch state and replay the greedy
-/// fill arithmetically.
+/// Count spare probe capacity without touching the schedulers: run the
+/// greedy fill over scratch copies of the per-server
+/// [`ProbeSummary`](coach_sched::ProbeSummary)s.
 ///
-/// Bit-identical to [`measure_probe_capacity`] on the same scheduler state
-/// (same floats, same `can_fit` epsilon, same heuristic ordering and
-/// tie-breaks, same rotation/termination schedule), at a fraction of the
-/// cost: no candidate-index updates, no VM bookkeeping, no demand clones,
-/// no removal pass — and `&ClusterScheduler`, so concurrent readers could
-/// measure while the scheduler keeps serving.
+/// Equal to [`measure_probe_capacity`] on the same scheduler state (the
+/// same fill, without the write-back), and `&ClusterScheduler`, so
+/// concurrent readers could measure while the scheduler keeps serving.
 pub fn estimate_probe_capacity<'a>(
     schedulers: impl Iterator<Item = &'a ClusterScheduler>,
     templates: &[VmDemand],
 ) -> u64 {
     schedulers
-        .map(|sched| estimate_cluster(sched, templates))
+        .map(|sched| fill_cluster(sched, templates, None).placed)
         .sum()
 }
 
@@ -230,10 +219,35 @@ fn candidate_order(
     }
 }
 
-fn estimate_cluster(sched: &ClusterScheduler, templates: &[VmDemand]) -> u64 {
+/// What one cluster's greedy fill did.
+struct Fill {
+    /// Probes placed.
+    placed: u64,
+    /// Placement attempts, rejections included.
+    attempts: u64,
+}
+
+/// Run one cluster's greedy fill over scratch copies of its servers'
+/// [`ProbeSummary`](coach_sched::ProbeSummary)s, appending each winner to
+/// `winners` as `(server index, rotation)` in fill order when asked.
+///
+/// The winner sequence is exactly the one the place/remove loop elects on
+/// the live scheduler, whatever its heuristic: the scratch holds the
+/// scheduler's floats, applies its `can_fit` predicate and adds a placed
+/// probe with its arithmetic, and the candidate order below is its
+/// candidate order.
+fn fill_cluster(
+    sched: &ClusterScheduler,
+    templates: &[VmDemand],
+    mut winners: Option<&mut Vec<(usize, usize)>>,
+) -> Fill {
     let windows = templates.len();
+    let mut fill = Fill {
+        placed: 0,
+        attempts: 0,
+    };
     if windows == 0 {
-        return 0;
+        return fill;
     }
     let heuristic = sched.heuristic();
     let mut servers: Vec<Scratch> = sched
@@ -260,10 +274,10 @@ fn estimate_cluster(sched: &ClusterScheduler, templates: &[VmDemand]) -> u64 {
     // will again — later attempts are rejections without a walk.
     let mut dead_rotation = vec![false; windows];
 
-    let mut count = 0u64;
     let mut consecutive_rejections = 0usize;
     let mut rotation = 0usize;
     while consecutive_rejections < windows {
+        fill.attempts += 1;
         // First feasible in priority order is the scheduler's choice; every
         // failed check is cached, so the walk amortizes to O(1) per
         // position plus one `can_fit` per (server, rotation) infeasibility
@@ -296,7 +310,10 @@ fn estimate_cluster(sched: &ClusterScheduler, templates: &[VmDemand]) -> u64 {
                 order.insert(dest, idx);
                 // The placement shrank this server's slack: its cached
                 // rejections stay valid (monotone), no invalidation needed.
-                count += 1;
+                if let Some(winners) = winners.as_deref_mut() {
+                    winners.push((idx, rotation));
+                }
+                fill.placed += 1;
                 consecutive_rejections = 0;
             }
             None => {
@@ -306,196 +323,5 @@ fn estimate_cluster(sched: &ClusterScheduler, templates: &[VmDemand]) -> u64 {
         }
         rotation = (rotation + 1) % windows;
     }
-    count
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use coach_sched::ScanStrategy;
-
-    fn templates_for(policy: Policy, percentile: Percentile, windows: usize) -> Vec<VmDemand> {
-        (0..windows)
-            .map(|rotation| probe_demand(0, policy, percentile, windows, rotation))
-            .collect()
-    }
-
-    fn coach_templates() -> Vec<VmDemand> {
-        templates_for(
-            Policy::Coach,
-            Percentile::P95,
-            TimeWindows::paper_default().count(),
-        )
-    }
-
-    fn cluster(servers: u64, capacity: ResourceVec, windows: usize) -> ClusterScheduler {
-        let ids: Vec<ServerId> = (0..servers).map(ServerId::new).collect();
-        ClusterScheduler::new(&ids, capacity, windows, PlacementHeuristic::BestFit)
-    }
-
-    fn assert_modes_agree(sched: &mut ClusterScheduler, templates: &[VmDemand], label: &str) {
-        let estimated = estimate_probe_capacity(std::iter::once(&*sched), templates);
-        let exhaustive = measure_probe_capacity(std::iter::once(sched), templates);
-        assert_eq!(estimated, exhaustive, "{label}");
-    }
-
-    #[test]
-    fn empty_cluster_agrees() {
-        let windows = TimeWindows::paper_default().count();
-        let mut sched = cluster(4, ResourceVec::new(96.0, 384.0, 40.0, 4096.0), windows);
-        let templates = coach_templates();
-        let estimated = estimate_probe_capacity(std::iter::once(&sched), &templates);
-        assert!(estimated > 0, "empty servers host probes");
-        assert_modes_agree(&mut sched, &templates, "empty cluster");
-    }
-
-    #[test]
-    fn overcommitted_single_server_agrees_at_zero() {
-        let windows = TimeWindows::paper_default().count();
-        let mut sched = cluster(1, ResourceVec::new(16.0, 64.0, 10.0, 1024.0), windows);
-        // Saturate the server's guaranteed memory completely.
-        let full = VmDemand::unpredicted(VmId::new(1), ResourceVec::new(16.0, 64.0, 10.0, 1024.0));
-        assert!(matches!(sched.place(full), PlacementOutcome::Placed(_)));
-        let templates = coach_templates();
-        assert_eq!(
-            estimate_probe_capacity(std::iter::once(&sched), &templates),
-            0,
-            "no slack, no probes"
-        );
-        assert_modes_agree(&mut sched, &templates, "over-committed server");
-    }
-
-    #[test]
-    fn exact_occupancy_crossing_agrees() {
-        // Leave exactly one probe's guaranteed memory free: feasibility sits
-        // on the fits_within epsilon boundary, where any divergence between
-        // the estimator's floats and the scheduler's would show.
-        let windows = TimeWindows::paper_default().count();
-        let templates = coach_templates();
-        let probe_guar = templates[0].guaranteed;
-        let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
-        let mut sched = cluster(1, capacity, windows);
-        let filler = capacity.saturating_sub(&probe_guar);
-        assert!(matches!(
-            sched.place(VmDemand::unpredicted(VmId::new(1), filler)),
-            PlacementOutcome::Placed(_)
-        ));
-        assert_modes_agree(&mut sched, &templates, "exact crossing");
-
-        // Just past the boundary on the other side.
-        let mut sched = cluster(1, capacity, windows);
-        let over = (filler + ResourceVec::splat(1e-7)).min(&capacity);
-        assert!(matches!(
-            sched.place(VmDemand::unpredicted(VmId::new(1), over)),
-            PlacementOutcome::Placed(_)
-        ));
-        assert_modes_agree(&mut sched, &templates, "just past the crossing");
-    }
-
-    #[test]
-    fn unpredicted_probes_broadcast_and_agree() {
-        // Policy::None probes are 1-window demands against 6-window
-        // servers: the broadcast rule must match too.
-        let windows = TimeWindows::paper_default().count();
-        let mut sched = cluster(3, ResourceVec::new(16.0, 64.0, 10.0, 1024.0), windows);
-        let templates = templates_for(Policy::None, Percentile::P95, windows);
-        assert_modes_agree(&mut sched, &templates, "unpredicted probes");
-    }
-
-    #[test]
-    fn all_heuristics_and_scans_agree() {
-        let windows = TimeWindows::paper_default().count();
-        let templates = coach_templates();
-        for heuristic in [
-            PlacementHeuristic::BestFit,
-            PlacementHeuristic::FirstFit,
-            PlacementHeuristic::WorstFit,
-        ] {
-            for scan in [ScanStrategy::Indexed, ScanStrategy::NaiveReference] {
-                let ids: Vec<ServerId> = (0..5).map(ServerId::new).collect();
-                let mut sched = ClusterScheduler::with_strategy(
-                    &ids,
-                    ResourceVec::new(16.0, 64.0, 10.0, 1024.0),
-                    windows,
-                    heuristic,
-                    scan,
-                );
-                // Uneven pre-load so headroom ordering matters.
-                for (i, frac) in [0.7, 0.2, 0.5, 0.0, 0.35].iter().enumerate() {
-                    if *frac > 0.0 {
-                        let req = ResourceVec::new(16.0, 64.0, 10.0, 1024.0) * *frac;
-                        let _ = sched.place(VmDemand::unpredicted(VmId::new(100 + i as u64), req));
-                    }
-                }
-                assert_modes_agree(&mut sched, &templates, &format!("{heuristic:?}/{scan:?}"));
-            }
-        }
-    }
-
-    #[test]
-    fn multi_cluster_totals_agree() {
-        let windows = TimeWindows::paper_default().count();
-        let templates = coach_templates();
-        let mut clusters: Vec<ClusterScheduler> = (0..3)
-            .map(|c| cluster(2 + c, ResourceVec::new(16.0, 64.0, 10.0, 1024.0), windows))
-            .collect();
-        let estimated = estimate_probe_capacity(clusters.iter(), &templates);
-        let exhaustive = measure_probe_capacity(clusters.iter_mut(), &templates);
-        assert_eq!(estimated, exhaustive);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        /// Random churn (places and removes of random multi-window demands)
-        /// followed by a probe measurement: the estimator must equal the
-        /// exhaustive fill exactly, for every policy's template set.
-        #[test]
-        fn prop_estimator_matches_exhaustive(
-            ops in prop::collection::vec(
-                (0u64..60, prop::collection::vec(0.05f64..1.0, 6), 0.05f64..0.9),
-                1..60,
-            ),
-            policy_sel in 0usize..3,
-            percentile_sel in 0usize..2,
-        ) {
-            let windows = TimeWindows::paper_default().count();
-            let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
-            let ids: Vec<ServerId> = (0..4).map(ServerId::new).collect();
-            let mut sched = ClusterScheduler::new(
-                &ids, capacity, windows, PlacementHeuristic::BestFit,
-            );
-            for (i, (vm_raw, fracs, guar_frac)) in ops.iter().enumerate() {
-                if i % 4 == 3 {
-                    sched.remove(VmId::new(1000 + *vm_raw));
-                    continue;
-                }
-                let request = ResourceVec::new(8.0, 32.0, 4.0, 256.0);
-                let guaranteed = request * *guar_frac;
-                let window_max: Vec<ResourceVec> = fracs
-                    .iter()
-                    .map(|f| (request * *f).max(&guaranteed))
-                    .collect();
-                let _ = sched.place(VmDemand {
-                    vm: VmId::new(1000 + (i as u64 % 60)),
-                    requested: request,
-                    guaranteed,
-                    window_max: window_max.into(),
-                });
-            }
-            let policy = [Policy::None, Policy::Single, Policy::Coach][policy_sel];
-            let percentile = [Percentile::P95, Percentile::P50][percentile_sel];
-            let templates: Vec<VmDemand> = (0..windows)
-                .map(|r| probe_demand(0, policy, percentile, windows, r))
-                .collect();
-            let estimated = estimate_probe_capacity(std::iter::once(&sched), &templates);
-            let exhaustive = measure_probe_capacity(std::iter::once(&mut sched), &templates);
-            prop_assert_eq!(estimated, exhaustive);
-        }
-    }
+    fill
 }
